@@ -4,8 +4,9 @@
 // their full-recompute oracle paths.
 //
 //   --json         machine-readable output (one JSON object on stdout)
-//   --threads N    probe threads for the min-W search waves (0 = hardware
-//                  concurrency); results are independent of this value
+//   --threads N    min-W probe wave width: probes run at once on the shared
+//                  executor (0 = its size, one thread per core); results
+//                  are independent of this value
 //   --incremental  run only the incremental kernels (no oracle baseline)
 //   --oracle       run only the oracle kernels (no speedup ratios)
 //

@@ -7,6 +7,7 @@
 #include "cells/primitives.hpp"
 #include "spice/transient.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace amdrel::cells {
 
@@ -107,10 +108,10 @@ BuiltExperiment build(const RoutingExptOptions& options,
     // switch and one connection-box switch per segment (not per tile).
     NodeId prev = seg_head;
     for (int t = 0; t < options.wire_length; ++t) {
-      NodeId next = c.node("w" + std::to_string(s) + "_" + std::to_string(t));
+      NodeId next = c.node(strprintf("w%d_%d", s, t));
       const double tile_um = tech.clb_tile_span_um;
-      c.add_resistor("rw" + std::to_string(s) + "_" + std::to_string(t), prev,
-                     next, wire.r_per_um * tile_um);
+      c.add_resistor(strprintf("rw%d_%d", s, t), prev, next,
+                     wire.r_per_um * tile_um);
       const double cw = wire.c_per_um * tile_um;
       c.add_cap_to_ground(prev, cw / 2);
       c.add_cap_to_ground(next, cw / 2);

@@ -91,12 +91,13 @@ class FlowSession {
 
   /// Requests cooperative cancellation. Safe to call from any thread (and
   /// from an obs::Sink callback). The running stage stops at its next
-  /// cancellation point — between stages, per PathFinder iteration, and
-  /// per min-W probe — discarding only the interrupted stage's partial
-  /// work, so the session stays well-formed and resumable. A request that
-  /// lands after the last cancellation point of the final requested stage
-  /// is still observed: run_until reports kCancelled at exit (the work is
-  /// complete — completed() shows it — and resume() continues normally).
+  /// cancellation point — between stages, per PathFinder iteration (in
+  /// every probe of a min-W wave) and per min-W wave — discarding only the
+  /// interrupted stage's partial work, so the session stays well-formed
+  /// and resumable. A request that lands after the last cancellation
+  /// point of the final requested stage is still observed: run_until
+  /// reports kCancelled at exit (the work is complete — completed() shows
+  /// it — and resume() continues normally).
   /// The release store pairs with the acquire exchanges in run_until, so
   /// writes made by the cancelling thread before cancel() are visible to
   /// the flow thread when it observes the request.

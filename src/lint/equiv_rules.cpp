@@ -28,7 +28,8 @@ void report_formal(const verify::EquivResult& result, Report* report) {
       std::string message = result.message;
       if (result.cex.has_value()) {
         object = result.cex->diverging_output;
-        message += "\n" + result.cex->to_text();
+        message += '\n';
+        message += result.cex->to_text();
       }
       report->add(rules::kEqMiterSat, std::move(object), std::move(message));
       return;

@@ -198,7 +198,10 @@ void check_duplicate_luts(const Network& net, Report* report) {
   std::map<std::string, const Gate*> seen;
   for (const Gate& g : net.gates()) {
     std::string key = g.table.to_hex();
-    for (SignalId in : g.inputs) key += "," + std::to_string(in);
+    for (SignalId in : g.inputs) {
+      key += ',';
+      key += std::to_string(in);
+    }
     auto [it, inserted] = seen.emplace(std::move(key), &g);
     if (!inserted) {
       report->add(rules::kDuplicateLut, "gate '" + g.name + "'",

@@ -242,7 +242,7 @@ void write_edif(const Network& network, std::ostream& out) {
     if (lut_it != lut_cells.end()) {
       std::vector<std::string> ins;
       for (int i = 0; i < lut_it->second->table.n_inputs(); ++i) {
-        ins.push_back("I" + std::to_string(i));
+        ins.push_back(strprintf("I%d", i));
       }
       emit_prim(cname, ins, {"O"},
                 strprintf("%d:%s", lut_it->second->table.n_inputs(),

@@ -167,6 +167,44 @@ class ScopedContext {
   bool active_ = false;
 };
 
+/// A thread's trace attribution: its installed context and its innermost
+/// open span. Work handed to another thread captures the submitter's
+/// (attribution()) and adopts it there (ScopedAttribution), so the work's
+/// spans reach the submitter's sink, under its trace id, as children of
+/// the submitting span.
+struct Attribution {
+  const TraceContext* context = nullptr;
+  std::uint64_t parent = 0;
+};
+
+/// The calling thread's attribution.
+inline Attribution attribution() {
+  return {detail::t_context, detail::t_open_span};
+}
+
+/// Adopts a captured Attribution on the calling thread for the guard's
+/// lifetime and restores the thread's own on destruction. Unlike
+/// ScopedContext it always installs: a null context too (the submitter
+/// emitted to the global sink), and the captured parent rather than a
+/// fresh root. Not movable, like ScopedContext.
+class ScopedAttribution {
+ public:
+  explicit ScopedAttribution(const Attribution& adopted)
+      : prev_(attribution()) {
+    detail::t_context = adopted.context;
+    detail::t_open_span = adopted.parent;
+  }
+  ~ScopedAttribution() {
+    detail::t_context = prev_.context;
+    detail::t_open_span = prev_.parent;
+  }
+  ScopedAttribution(const ScopedAttribution&) = delete;
+  ScopedAttribution& operator=(const ScopedAttribution&) = delete;
+
+ private:
+  Attribution prev_;
+};
+
 /// RAII span: emits kSpanBegin at construction and kSpanEnd (with the
 /// accumulated metrics and wall duration) at destruction. When no sink is
 /// reachable at construction (neither a thread context nor the global

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
+#include <exception>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <set>
 
 #include "obs/metrics.hpp"
@@ -91,10 +95,14 @@ std::vector<double> history_from_spatial(const SpatialHistory& s,
 /// the iteration loop allocates nothing after construction.
 class PathFinder {
  public:
+  /// `stop` (may be null) abandons the run: read where `options.cancel`
+  /// is, once per iteration, it ends the run with message "abandoned".
   PathFinder(const RrGraph& graph, const place::Placement& placement,
-             const RouteOptions& options)
+             const RouteOptions& options,
+             const std::atomic<bool>* stop = nullptr)
       : graph_(&graph),
         options_(&options),
+        stop_(stop),
         n_nodes_(graph.num_nodes()),
         n_nets_(static_cast<int>(placement.nets().size())) {
     const std::size_t nn = static_cast<std::size_t>(n_nodes_);
@@ -194,11 +202,13 @@ class PathFinder {
     int best_overused_iter = 0;
     over_hist_.clear();
     for (int iter = 1; iter <= options_->max_iterations; ++iter) {
-      if (options_->cancel != nullptr &&
-          options_->cancel->load(std::memory_order_relaxed)) {
+      const bool cancel = options_->cancel != nullptr &&
+                          options_->cancel->load(std::memory_order_relaxed);
+      if (cancel ||
+          (stop_ != nullptr && stop_->load(std::memory_order_relaxed))) {
         result.success = false;
         result.iterations = iter - 1;
-        result.message = "cancelled";
+        result.message = cancel ? "cancelled" : "abandoned";
         return result;
       }
       bool any_unrouted = false;
@@ -522,6 +532,7 @@ class PathFinder {
 
   const RrGraph* graph_;
   const RouteOptions* options_;
+  const std::atomic<bool>* stop_;  ///< min-W wave abandonment (may be null)
   int n_nodes_ = 0;
   int n_nets_ = 0;
   const std::vector<NetRoute>* seeds_ = nullptr;  ///< ECO warm-start trees
@@ -601,8 +612,9 @@ RouteResult route_with_history(const RrGraph& graph,
                                const place::Placement& placement,
                                const RouteOptions& options,
                                const std::vector<double>* initial_history,
-                               SpatialHistory* out_spatial) {
-  PathFinder pf(graph, placement, options);
+                               SpatialHistory* out_spatial,
+                               const std::atomic<bool>* stop = nullptr) {
+  PathFinder pf(graph, placement, options, stop);
   RouteResult result = pf.run(initial_history);
   if (out_spatial != nullptr) {
     *out_spatial = extract_spatial_history(graph, pf.history());
@@ -616,12 +628,20 @@ bool cancelled(const RouteOptions& options) {
          options.cancel->load(std::memory_order_relaxed);
 }
 
-/// Records one probe verdict for the trace and the caller's cancellation
-/// flag. Called on the search thread only (wave probes are consumed by
-/// index after the wave joins), so verdict order is deterministic.
+/// Probe tallies of one min-W search, reported on its route.minw_search
+/// span.
+struct SearchStats {
+  long long probes = 0;          ///< verdicts consumed
+  long long spec_probes = 0;     ///< probes launched in waves
+  long long spec_abandoned = 0;  ///< launched probes whose verdict went unread
+};
+
+/// Records one consumed probe verdict for the trace. Called on the search
+/// thread only, in the sequential search's order, so the verdict sequence
+/// is deterministic.
 void note_probe(int width, const RouteResult& result, bool oracle,
-                long long* probes) {
-  ++*probes;
+                SearchStats* stats) {
+  ++stats->probes;
   static obs::Counter& c_probes = obs::counter("route.minw_probes");
   c_probes.add(1);
   if (obs::enabled()) {
@@ -639,11 +659,219 @@ void throw_if_cancelled(const RouteOptions& options) {
   }
 }
 
+/// One probe of a speculative wave.
+struct WaveProbe {
+  int width = 0;
+  bool oracle = false;  ///< cold full-budget probe; else an explorer probe
+  /// The verdict is read only if probe `after` (an earlier index of the
+  /// wave; -1 = unconditionally) returned `after_success`.
+  int after = -1;
+  bool after_success = false;
+};
+
+/// Returns `wave` with `widths` appended as one branch of the sequential search: each
+/// probe is read only if the one before it returned `go_on`, the first one
+/// only if probe `after` returned `after_success`.
+std::vector<WaveProbe> branch(std::vector<WaveProbe> wave,
+                              const std::vector<int>& widths, bool oracle,
+                              bool go_on, int after = -1,
+                              bool after_success = false) {
+  for (int w : widths) {
+    wave.push_back(WaveProbe{w, oracle, after, after_success});
+    after = static_cast<int>(wave.size()) - 1;
+    after_success = go_on;
+  }
+  return wave;
+}
+
+struct ProbeOutcome {
+  RouteResult result;
+  SpatialHistory spatial;  ///< explorer probes: the history they ended with
+  std::exception_ptr error;
+};
+
+/// Runs single min-W probes. Read-only, so every thread of a wave shares
+/// one.
+struct Prober {
+  const place::Placement* placement;
+  const arch::ArchSpec* spec;
+  RouteOptions explore;  ///< incremental router with a stagnation abort
+  RouteOptions oracle;   ///< cold rip-up-everything router, whole budget
+
+  Prober(const place::Placement& p, const arch::ArchSpec& s,
+         const RouteOptions& options)
+      : placement(&p), spec(&s), explore(options), oracle(options) {
+    if (explore.stall_window <= 0) explore.stall_window = 10;
+    oracle.incremental = false;
+    oracle.stall_window = 0;
+  }
+
+  /// The reference feasibility test: full rip-up every iteration, whole
+  /// budget. The incremental search always gives it the last word on the
+  /// final boundary.
+  RouteResult oracle_probe(int w, const std::atomic<bool>* stop) const {
+    RrGraph graph(*placement, *spec, w, oracle.rr);
+    return route_with_history(graph, *placement, oracle, nullptr, nullptr,
+                              stop);
+  }
+
+  /// An exploratory probe, warm-started from `warm` (empty = cold).
+  RouteResult explore_probe(int w, const SpatialHistory& warm,
+                            SpatialHistory* spatial_out,
+                            const std::atomic<bool>* stop) const {
+    RrGraph graph(*placement, *spec, w, explore.rr);
+    std::vector<double> init;
+    if (!warm.empty() && explore.warm_start_fac > 0.0) {
+      init = history_from_spatial(warm, graph, explore.warm_start_fac);
+    }
+    return route_with_history(graph, *placement, explore,
+                              init.empty() ? nullptr : &init, spatial_out,
+                              stop);
+  }
+};
+
+/// A speculative probe wave: the next probes the sequential search would
+/// run along one branch, run at once on the process-wide executor and the
+/// calling thread, and read back by index in the sequential order. Each
+/// probe is a pure function of its width, kind and warm start, so a read
+/// verdict is exactly the sequential one. A probe whose verdict can no
+/// longer be read (its gate probe returned the other verdict) is abandoned
+/// through its stop flag. Constructing a wave is a cancellation point;
+/// destroying it abandons every unread probe and waits for the wave's own
+/// probes only, never for the executor's other work.
+class ProbeWave {
+ public:
+  ProbeWave(const Prober& prober, std::vector<WaveProbe> probes,
+            SpatialHistory warm, SearchStats* stats)
+      : stats_(stats) {
+    throw_if_cancelled(prober.explore);
+    const std::size_t n = probes.size();
+    state_ = std::make_shared<State>(n);
+    state_->prober = &prober;
+    state_->probes = std::move(probes);
+    state_->warm = std::move(warm);
+    state_->attribution = obs::attribution();
+    stats_->spec_probes += static_cast<long long>(n);
+    static obs::Counter& c_spec = obs::counter("route.minw_spec_probes");
+    c_spec.add(n);
+    // The calling thread is the wave's first runner; the executor lends at
+    // most one thread per other probe. A helper that starts after the wave
+    // is over finds nothing to claim and only drops its reference.
+    if (n > 1) {
+      ThreadPool& pool = ThreadPool::shared();
+      for (std::size_t k = 0; k < std::min(n - 1, pool.size()); ++k) {
+        pool.submit([state = state_] {
+          while (state->run_next()) {
+          }
+        });
+      }
+    }
+  }
+
+  ~ProbeWave() {
+    State& s = *state_;
+    for (auto& stop : s.stop) stop.store(true);
+    while (s.run_next()) {
+    }
+    {
+      std::unique_lock<std::mutex> lock(s.mu);
+      s.cv.wait(lock, [&] { return s.finished == s.probes.size(); });
+    }
+    s.out = {};  // late helpers may hold the state a while
+    const std::size_t abandoned = s.probes.size() - consumed_;
+    stats_->spec_abandoned += static_cast<long long>(abandoned);
+    static obs::Counter& c_abandoned =
+        obs::counter("route.minw_spec_abandoned");
+    c_abandoned.add(abandoned);
+  }
+
+  ProbeWave(const ProbeWave&) = delete;
+  ProbeWave& operator=(const ProbeWave&) = delete;
+
+  /// Blocks until probe `i` has finished, running unclaimed probes of the
+  /// wave meanwhile, and hands it to the sequential search. Throws
+  /// CancelledError when the search was cancelled, and rethrows the
+  /// probe's own error.
+  ProbeOutcome& read(std::size_t i) {
+    State& s = *state_;
+    std::unique_lock<std::mutex> lock(s.mu);
+    while (!s.done[i]) {
+      lock.unlock();
+      const bool ran = s.run_next();
+      lock.lock();
+      if (!ran) s.cv.wait(lock, [&] { return s.done[i] != 0; });
+    }
+    lock.unlock();
+    throw_if_cancelled(s.prober->explore);
+    if (s.out[i].error) std::rethrow_exception(s.out[i].error);
+    ++consumed_;
+    return s.out[i];
+  }
+
+ private:
+  /// Shared with the executor tasks, which may outlive the wave object.
+  struct State {
+    explicit State(std::size_t n)
+        : out(n), stop(n), done(n, 0), ok(n, 0), dead(n, 0) {}
+
+    const Prober* prober = nullptr;  ///< dereferenced only by claimed probes
+    std::vector<WaveProbe> probes;
+    SpatialHistory warm;            ///< explorer warm start (empty = cold)
+    obs::Attribution attribution;   ///< the searching thread's
+    std::vector<ProbeOutcome> out;
+    std::vector<std::atomic<bool>> stop;
+    std::atomic<std::size_t> next{0};  ///< next unclaimed probe
+    std::mutex mu;
+    std::condition_variable cv;
+    std::vector<char> done, ok, dead;  ///< guarded by mu
+    std::size_t finished = 0;          ///< guarded by mu: the wave's latch
+
+    /// Claims and runs the next unclaimed probe, then abandons every probe
+    /// its verdict makes unreadable. False when none was left to claim.
+    bool run_next() {
+      const std::size_t i = next.fetch_add(1);
+      if (i >= probes.size()) return false;
+      if (stop[i].load()) {
+        out[i].result.message = "abandoned";
+      } else {
+        obs::ScopedAttribution as_searcher(attribution);
+        const WaveProbe& p = probes[i];
+        try {
+          out[i].result = p.oracle ? prober->oracle_probe(p.width, &stop[i])
+                                   : prober->explore_probe(
+                                         p.width, warm, &out[i].spatial,
+                                         &stop[i]);
+        } catch (...) {
+          out[i].error = std::current_exception();
+        }
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      done[i] = 1;
+      ok[i] = out[i].result.success ? 1 : 0;
+      ++finished;
+      for (std::size_t j = 0; j < probes.size(); ++j) {
+        if (probes[j].after < 0) continue;
+        const std::size_t g = static_cast<std::size_t>(probes[j].after);
+        if (dead[g] || (done[g] && (ok[g] != 0) != probes[j].after_success)) {
+          dead[j] = 1;
+          stop[j].store(true);
+        }
+      }
+      cv.notify_all();
+      return true;
+    }
+  };
+
+  std::shared_ptr<State> state_;
+  SearchStats* stats_;
+  std::size_t consumed_ = 0;
+};
+
 int minimum_channel_width_impl(const place::Placement& placement,
                                const arch::ArchSpec& spec,
                                RouteResult* result,
                                const RouteOptions& options, int w_min,
-                               int w_max, long long* probes);
+                               int w_max, SearchStats* stats);
 
 }  // namespace
 
@@ -723,12 +951,14 @@ int minimum_channel_width(const place::Placement& placement,
   obs::Span span("route.minw_search");
   RouteResult local;
   RouteResult* out = result != nullptr ? result : &local;
-  long long probes = 0;
+  SearchStats stats;
   const int width = minimum_channel_width_impl(placement, spec, out, options,
-                                               w_min, w_max, &probes);
+                                               w_min, w_max, &stats);
   if (span.active()) {
     span.metric("width", width);
-    span.metric("probes", static_cast<double>(probes));
+    span.metric("probes", static_cast<double>(stats.probes));
+    span.metric("spec_probes", static_cast<double>(stats.spec_probes));
+    span.metric("spec_abandoned", static_cast<double>(stats.spec_abandoned));
     span.metric("wire_nodes", out->total_wire_nodes);
   }
   return width;
@@ -740,19 +970,12 @@ int minimum_channel_width_impl(const place::Placement& placement,
                                const arch::ArchSpec& spec,
                                RouteResult* result,
                                const RouteOptions& options, int w_min,
-                               int w_max, long long* probes) {
+                               int w_max, SearchStats* stats) {
   RouteResult best;
   int best_w = -1;
-
-  // One cold oracle probe: full rip-up every iteration, whole budget.
-  // This is the reference feasibility test; the incremental search below
-  // always lets it have the last word on the final boundary.
+  const Prober prober(placement, spec, options);
   auto oracle_probe = [&](int w, RouteResult* out) {
-    RrGraph graph(placement, spec, w, options.rr);
-    RouteOptions full = options;
-    full.incremental = false;
-    full.stall_window = 0;
-    *out = route_with_history(graph, placement, full, nullptr, nullptr);
+    *out = prober.oracle_probe(w, nullptr);
     return out->success;
   };
 
@@ -763,7 +986,7 @@ int minimum_channel_width_impl(const place::Placement& placement,
       throw_if_cancelled(options);
       RouteResult r;
       const bool ok = oracle_probe(w, &r);
-      note_probe(w, r, /*oracle=*/true, probes);
+      note_probe(w, r, /*oracle=*/true, stats);
       if (ok) {
         best = std::move(r);
         best_w = w;
@@ -781,7 +1004,7 @@ int minimum_channel_width_impl(const place::Placement& placement,
       const int mid = (lo + hi) / 2;
       RouteResult r;
       const bool ok = oracle_probe(mid, &r);
-      note_probe(mid, r, /*oracle=*/true, probes);
+      note_probe(mid, r, /*oracle=*/true, stats);
       if (ok) {
         best = std::move(r);
         best_w = mid;
@@ -798,27 +1021,19 @@ int minimum_channel_width_impl(const place::Placement& placement,
   // Exploratory probes use the incremental router with a stagnation abort:
   // fast, but a weaker negotiator on borderline widths (it may fail where
   // the oracle routes). Its verdicts only steer the search; the final
-  // boundary is re-established by cold oracle probes in the descent phase,
+  // boundary is re-established by cold oracle probes in the walk phase,
   // so any exploratory misjudgment costs time, never the result.
-  ThreadPool pool(static_cast<std::size_t>(
-      options.probe_threads < 0 ? 0 : options.probe_threads));
-  constexpr std::size_t kWave = 3;
+  //
+  // Every phase runs as speculative waves (ProbeWave): up to `wave_width`
+  // of the probes the one-at-a-time search would run next along one
+  // branch, run at once and consumed by index in its order. The consumed
+  // verdicts, and so the width and the routing, are the one-at-a-time
+  // search's for every wave width.
+  const std::size_t wave_width = static_cast<std::size_t>(
+      options.probe_threads > 0
+          ? options.probe_threads
+          : static_cast<int>(ThreadPool::shared().size()));
   SpatialHistory warm;
-
-  RouteOptions explore = options;
-  if (explore.stall_window <= 0) explore.stall_window = 10;
-  auto explore_probe = [&](int w, const SpatialHistory* warm_in,
-                           RouteResult* out, SpatialHistory* spatial_out) {
-    RrGraph graph(placement, spec, w, options.rr);
-    std::vector<double> init;
-    if (warm_in != nullptr && !warm_in->empty() &&
-        options.warm_start_fac > 0.0) {
-      init = history_from_spatial(*warm_in, graph, options.warm_start_fac);
-    }
-    *out = route_with_history(graph, placement, explore,
-                              init.empty() ? nullptr : &init, spatial_out);
-    return out->success;
-  };
 
   // Demand estimate: summed net bounding-box spans are a lower bound on
   // the wire segments any routing must use; divided by the number of wire
@@ -826,7 +1041,7 @@ int minimum_channel_width_impl(const place::Placement& placement,
   // below. Empirically the achievable minimum sits at ~2x this bound, so
   // a conservative slice of it steers where probing starts: widths below
   // it are expensive deep-congestion probes that always fail. Like every
-  // explorer belief, a wrong guess is repaired by the oracle descent.
+  // explorer belief, a wrong guess is repaired by the oracle walk.
   double demand = 0.0;
   for (const auto& net : placement.nets()) {
     if (net.sinks.empty()) continue;
@@ -846,18 +1061,16 @@ int minimum_channel_width_impl(const place::Placement& placement,
       static_cast<double>(placement.ny()) * (placement.nx() + 1);
   const double u_lower = track_cap > 0.0 ? demand / track_cap : 0.0;
 
-  // Doubling phase: find a feasible upper bound. Widths below 1.9x the
-  // demand bound are skipped as predicted-infeasible. With spare workers
-  // the probes run cold in fixed-size waves consumed by index; single-
-  // threaded they run one by one with an early exit. Both pick the first
-  // feasible width of the same fixed sequence, so the outcome is
-  // identical for any thread count.
+  // Doubling phase: find a feasible upper bound, cold, up the fixed
+  // doubling sequence; widths below 1.9x the demand bound are skipped as
+  // predicted-infeasible. A wave is the next stretch of the sequence; the
+  // first width that routes abandons the wider ones.
   //
   // The narrowing floor sits at 1.55x the demand bound: on routable
   // designs the achievable width lands at ~1.75-1.9x the bound, so the
   // binary search rarely wastes probes on deep-congestion widths. Like
-  // the doubling skip, a too-high floor is repaired by the oracle
-  // descent below, which walks past the floor freely.
+  // the doubling skip, a too-high floor is repaired by the oracle walk
+  // below, which walks past the floor freely.
   int lo = std::max(w_min - 1,            // highest width believed infeasible
                     static_cast<int>(1.55 * u_lower));
   std::vector<char> explorer_failed(static_cast<std::size_t>(w_max) + 2, 0);
@@ -869,42 +1082,25 @@ int minimum_channel_width_impl(const place::Placement& placement,
     }
     widths.push_back(w);
   }
-  if (pool.size() > 1) {
-    for (std::size_t i0 = 0; i0 < widths.size() && best_w < 0; i0 += kWave) {
-      throw_if_cancelled(options);
-      const std::size_t n = std::min(kWave, widths.size() - i0);
-      std::vector<RouteResult> probe(n);
-      std::vector<SpatialHistory> spatial(n);
-      pool.parallel_for(n, [&](std::size_t i) {
-        explore_probe(widths[i0 + i], nullptr, &probe[i], &spatial[i]);
-      });
-      for (std::size_t i = 0; i < n; ++i) {
-        note_probe(widths[i0 + i], probe[i], /*oracle=*/false, probes);
-        if (probe[i].success) {
-          best = std::move(probe[i]);
-          best_w = widths[i0 + i];
-          warm = std::move(spatial[i]);
-          break;
-        }
-        lo = widths[i0 + i];
-        explorer_failed[static_cast<std::size_t>(widths[i0 + i])] = 1;
-      }
+  for (std::size_t i0 = 0; best_w < 0 && i0 < widths.size();) {
+    std::vector<int> ws;
+    for (std::size_t i = i0; i < widths.size() && ws.size() < wave_width;
+         ++i) {
+      ws.push_back(widths[i]);
     }
-  } else {
-    for (int w : widths) {
-      throw_if_cancelled(options);
-      RouteResult r;
-      SpatialHistory spatial;
-      const bool ok = explore_probe(w, nullptr, &r, &spatial);
-      note_probe(w, r, /*oracle=*/false, probes);
-      if (ok) {
-        best = std::move(r);
-        best_w = w;
-        warm = std::move(spatial);
-        break;
+    ProbeWave wave(prober, branch({}, ws, /*oracle=*/false, /*go_on=*/false),
+                   {}, stats);
+    for (std::size_t i = 0; best_w < 0 && i < ws.size(); ++i, ++i0) {
+      ProbeOutcome& p = wave.read(i);
+      note_probe(ws[i], p.result, /*oracle=*/false, stats);
+      if (p.result.success) {
+        best = std::move(p.result);
+        best_w = ws[i];
+        warm = std::move(p.spatial);
+      } else {
+        lo = ws[i];
+        explorer_failed[static_cast<std::size_t>(ws[i])] = 1;
       }
-      lo = w;
-      explorer_failed[static_cast<std::size_t>(w)] = 1;
     }
   }
   throw_if_cancelled(options);
@@ -915,34 +1111,39 @@ int minimum_channel_width_impl(const place::Placement& placement,
     RouteOptions oracle = options;
     oracle.incremental = false;
     return minimum_channel_width_impl(placement, spec, result, oracle, w_min,
-                                      w_max, probes);
+                                      w_max, stats);
   }
 
   // Narrowing phase: binary search, each probe warm-started from the
   // current best width's congestion history (per-tile means — track
-  // counts differ between widths). The probe sequence is deterministic,
-  // so the warm-start chain is too.
+  // counts differ between widths). A wave is the failure chain from
+  // [lo, hi]: the midpoints the search visits while every verdict is
+  // "no", all warm-started from hi's history as they would be one at a
+  // time. The first success ends the wave and seeds the next one.
   int hi = best_w;
   while (hi - lo >= 2) {
-    throw_if_cancelled(options);
-    const int mid = lo + (hi - lo) / 2;
-    RouteResult r;
-    SpatialHistory spatial;
-    const bool ok = explore_probe(mid, &warm, &r, &spatial);
-    note_probe(mid, r, /*oracle=*/false, probes);
-    if (ok) {
-      best = std::move(r);
-      best_w = mid;
-      warm = std::move(spatial);
-      hi = mid;
-    } else {
-      lo = mid;
-      explorer_failed[static_cast<std::size_t>(mid)] = 1;
+    std::vector<int> ws;
+    for (int l = lo; hi - l >= 2 && ws.size() < wave_width; l = ws.back()) {
+      ws.push_back(l + (hi - l) / 2);
+    }
+    ProbeWave wave(prober, branch({}, ws, /*oracle=*/false, /*go_on=*/false),
+                   warm, stats);
+    for (std::size_t i = 0; i < ws.size(); ++i) {
+      ProbeOutcome& p = wave.read(i);
+      note_probe(ws[i], p.result, /*oracle=*/false, stats);
+      if (p.result.success) {
+        best = std::move(p.result);
+        best_w = hi = ws[i];
+        warm = std::move(p.spatial);
+        break;
+      }
+      lo = ws[i];
+      explorer_failed[static_cast<std::size_t>(ws[i])] = 1;
     }
   }
 
-  // Oracle confirmation: the explorer's verdicts only steered the search;
-  // the boundary is re-established with cold full-budget oracle probes so
+  // Oracle walk: the explorer's verdicts only steered the search; the
+  // boundary is re-established with cold full-budget oracle probes so
   // the returned width is exactly the oracle's. Failing probes cost the
   // whole iteration budget while near-boundary successes converge fast,
   // so the walk starts at the bottom of the consecutive run of
@@ -960,35 +1161,68 @@ int minimum_channel_width_impl(const place::Placement& placement,
       explorer_failed[static_cast<std::size_t>(start_w - 1)]) {
     --start_w;
   }
-  throw_if_cancelled(options);
-  RouteResult probe_r;
-  const bool start_ok = oracle_probe(start_w, &probe_r);
-  note_probe(start_w, probe_r, /*oracle=*/true, probes);
-  if (start_ok) {
-    best = std::move(probe_r);
-    best_w = start_w;
-    for (int w = start_w - 1; w >= w_min; --w) {
-      throw_if_cancelled(options);
-      RouteResult r;
-      const bool ok = oracle_probe(w, &r);
-      note_probe(w, r, /*oracle=*/true, probes);
-      if (!ok) break;
-      best = std::move(r);
-      best_w = w;
-    }
-  } else {
-    for (int w = start_w + 1; w <= w_max; ++w) {
-      throw_if_cancelled(options);
-      RouteResult r;
-      const bool ok = oracle_probe(w, &r);
-      note_probe(w, r, /*oracle=*/true, probes);
+  // Wave 0 holds the start width, the widths below it and, with three or
+  // more slots, the width above it: the start's verdict abandons the other
+  // direction. Later waves continue the chosen direction; a down chain
+  // ends at its first failure, an up chain at its first success.
+  std::vector<int> below, above;
+  const std::size_t below_slots =
+      wave_width >= 3 ? wave_width - 2 : wave_width - 1;
+  for (int w = start_w - 1; w >= w_min && below.size() < below_slots; --w) {
+    below.push_back(w);
+  }
+  if (wave_width >= 3 && start_w + 1 <= w_max) above.push_back(start_w + 1);
+  std::vector<WaveProbe> probes =
+      branch({WaveProbe{start_w, /*oracle=*/true}}, below, /*oracle=*/true,
+             /*go_on=*/true, /*after=*/0, /*after_success=*/true);
+  probes = branch(std::move(probes), above, /*oracle=*/true, /*go_on=*/false,
+                  /*after=*/0, /*after_success=*/false);
+
+  bool down = false;
+  // Consumes one stretch of the walk; true once the walk has ended.
+  auto walk = [&](ProbeWave& wave, std::size_t first,
+                  const std::vector<int>& ws) {
+    for (std::size_t i = 0; i < ws.size(); ++i) {
+      ProbeOutcome& p = wave.read(first + i);
+      note_probe(ws[i], p.result, /*oracle=*/true, stats);
+      const bool ok = p.result.success;
+      // Failures leave `best` alone: an up walk that never routes keeps
+      // the explorer's legal routing.
       if (ok) {
-        best = std::move(r);
-        best_w = w;
-        break;
+        best = std::move(p.result);
+        best_w = ws[i];
       }
-      // Keep the explorer's legal routing if the oracle never catches up.
+      if (ok != down) return true;
     }
+    return false;
+  };
+  bool ended = false;
+  int next_w = 0;
+  {
+    ProbeWave wave(prober, std::move(probes), {}, stats);
+    ProbeOutcome& p = wave.read(0);
+    note_probe(start_w, p.result, /*oracle=*/true, stats);
+    down = p.result.success;
+    if (down) {
+      best = std::move(p.result);
+      best_w = start_w;
+    }
+    const std::vector<int>& ws = down ? below : above;
+    ended = walk(wave, down ? 1 : 1 + below.size(), ws);
+    next_w = (ws.empty() ? start_w : ws.back()) + (down ? -1 : 1);
+  }
+  while (!ended) {
+    std::vector<int> ws;
+    for (int w = next_w; (down ? w >= w_min : w <= w_max) &&
+                         ws.size() < wave_width;
+         w += down ? -1 : 1) {
+      ws.push_back(w);
+    }
+    if (ws.empty()) break;
+    ProbeWave wave(prober, branch({}, ws, /*oracle=*/true, /*go_on=*/down),
+                   {}, stats);
+    ended = walk(wave, 0, ws);
+    next_w = ws.back() + (down ? -1 : 1);
   }
   throw_if_cancelled(options);
 

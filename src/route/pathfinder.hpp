@@ -50,16 +50,19 @@ struct RouteOptions {
   /// resources). `route_seeded` uses this for its first pass, where the
   /// seeded clean trees must not move.
   bool spare_only = false;
-  /// Worker threads for the parallel probe waves of
-  /// `minimum_channel_width` (0 = hardware concurrency). Probe waves have
-  /// a fixed size and are consumed by index, so the search result never
-  /// depends on the thread count.
+  /// Width of the speculative probe waves of `minimum_channel_width`:
+  /// how many of the probes the one-at-a-time search would run next are
+  /// run at once, on the process-wide executor (`ThreadPool::shared()`)
+  /// and the calling thread. 0 = the executor's size; 1 = one probe at a
+  /// time. Verdicts are consumed by index in the one-at-a-time order, so
+  /// the search result never depends on it.
   int probe_threads = 0;
   /// Cooperative cancellation flag (not owned; may be set from another
-  /// thread). Checked once per PathFinder iteration and once per min-W
-  /// probe: when it reads true, `route_all` and `minimum_channel_width`
-  /// throw CancelledError from the calling thread instead of returning a
-  /// result. nullptr = never cancelled.
+  /// thread). Checked once per PathFinder iteration, by every probe of a
+  /// min-W wave, and before each min-W wave: when it reads true,
+  /// `route_all` and `minimum_channel_width` throw CancelledError from the
+  /// calling thread (after the wave's probes have stopped) instead of
+  /// returning a result. nullptr = never cancelled.
   const std::atomic<bool>* cancel = nullptr;
 };
 

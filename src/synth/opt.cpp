@@ -4,6 +4,7 @@
 #include <map>
 
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace amdrel::synth {
 
@@ -70,14 +71,17 @@ class Rebuilder {
     if (table == TruthTable::identity()) return ins[0];
 
     std::string key = table.to_hex();
-    for (const Bit& b : ins) key += "," + std::to_string(b.sig);
+    for (const Bit& b : ins) {
+      key += ',';
+      key += std::to_string(b.sig);
+    }
     auto it = strash_.find(key);
     if (it != strash_.end()) return Bit::signal(it->second);
 
     std::vector<SignalId> sig_ins;
     for (const Bit& b : ins) sig_ins.push_back(b.sig);
     SignalId out = fresh(hint);
-    net_->add_gate("g" + std::to_string(counter_++), std::move(table),
+    net_->add_gate(strprintf("g%d", counter_++), std::move(table),
                    std::move(sig_ins), out);
     strash_.emplace(std::move(key), out);
     return Bit::signal(out);

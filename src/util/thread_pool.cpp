@@ -24,6 +24,13 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
+ThreadPool& ThreadPool::shared() {
+  // Leaked: its workers stay parked on work_cv_ through static
+  // destruction instead of racing it.
+  static ThreadPool* pool = new ThreadPool(0);
+  return *pool;
+}
+
 void ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mutex_);

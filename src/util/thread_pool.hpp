@@ -4,7 +4,8 @@
 // The CAD flow uses it for embarrassingly parallel sweeps (device sizing
 // experiments, multi-seed placement, random-vector simulation batches).
 // Work items must be independent; exceptions thrown by items are captured
-// and rethrown (first one wins) on the calling thread.
+// and rethrown (first one wins) on the calling thread. ThreadPool::shared()
+// is the one process-wide pool the min-W probe waves run on.
 
 #include <condition_variable>
 #include <cstddef>
@@ -27,6 +28,12 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::size_t size() const { return workers_.size(); }
+
+  /// The process-wide pool: hardware_concurrency() threads (min 1),
+  /// started on first use and never torn down. Callers that share it
+  /// submit() tasks that never throw and join on their own latch: wait()
+  /// and parallel_for() would also wait for every other caller's tasks.
+  static ThreadPool& shared();
 
   /// Enqueues a task; wait() joins all outstanding tasks.
   void submit(std::function<void()> task);

@@ -91,7 +91,10 @@ class GateBuilder {
 
     // Structural hash.
     std::string key = table.to_hex();
-    for (const Bit& b : ins) key += "," + std::to_string(b.sig);
+    for (const Bit& b : ins) {
+      key += ',';
+      key += std::to_string(b.sig);
+    }
     auto it = strash_.find(key);
     if (it != strash_.end()) return Bit::signal(it->second);
 
@@ -206,7 +209,7 @@ class Elaborator {
       bs.type = d.type;
       for (int i = 0; i < d.type.width(); ++i) {
         std::string name = prefix + d.name +
-                           (d.type.is_vector ? "_" + std::to_string(i) : "");
+                           (d.type.is_vector ? strprintf("_%d", i) : "");
         // Uniquify against anything already present.
         while (net_.find_signal(name) != kNoSignal) name += "_x";
         bs.bits.push_back(net_.add_signal(name));

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -200,6 +203,142 @@ TEST(FlowSession, CancelDuringMinWidthSearchIsResumable) {
   EXPECT_EQ(session.result().bitstream_bytes, oneshot.bitstream_bytes);
 }
 
+/// Logs every event with the thread that emitted it, and makes the min-W
+/// search provably run probes on the shared executor: the session's
+/// thread is held at its first route.pathfinder span until a probe has
+/// begun on another thread (the first doubling wave holds several
+/// probes, so an executor thread claims one). Optionally cancels the
+/// session from the first executor-thread route.pathfinder span end.
+class WaveSink : public obs::Sink {
+ public:
+  struct Rec {
+    obs::Event::Kind kind;
+    std::string name;
+    std::uint64_t id;
+    std::uint64_t parent;
+    std::string trace;
+    bool on_executor;
+  };
+
+  explicit WaveSink(flow::FlowSession* cancel_target = nullptr)
+      : session_thread_(std::this_thread::get_id()),
+        cancel_target_(cancel_target) {}
+
+  void on_event(const obs::Event& e) override {
+    const bool on_executor = std::this_thread::get_id() != session_thread_;
+    std::unique_lock<std::mutex> lock(mu_);
+    events_.push_back(Rec{e.kind, e.name, e.id, e.parent,
+                          e.trace != nullptr ? e.trace : "", on_executor});
+    if (std::strcmp(e.name, "route.pathfinder") != 0) return;
+    if (e.kind == obs::Event::Kind::kSpanBegin) {
+      if (on_executor) {
+        executor_probe_began_ = true;
+        cv_.notify_all();
+      } else if (!held_) {
+        held_ = true;
+        cv_.wait_for(lock, std::chrono::seconds(20),
+                     [&] { return executor_probe_began_; });
+      }
+    } else if (on_executor && cancel_target_ != nullptr && !cancelled_) {
+      cancelled_ = true;
+      cancel_target_->cancel();
+    }
+  }
+
+  std::vector<Rec> events() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return events_;
+  }
+  bool executor_probe_began() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return executor_probe_began_;
+  }
+
+ private:
+  const std::thread::id session_thread_;
+  flow::FlowSession* const cancel_target_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<Rec> events_;
+  bool held_ = false;
+  bool executor_probe_began_ = false;
+  bool cancelled_ = false;
+};
+
+TEST(FlowSession, MinWidthProbeSpansReachTheJobTrace) {
+  if (std::thread::hardware_concurrency() < 2) {
+    GTEST_SKIP() << "the shared executor needs a thread besides this one";
+  }
+  auto opt = fast_options();
+  opt.search_min_channel_width = true;
+  flow::FlowSession session(small_design(), opt);
+  WaveSink job_sink;
+  obs::TraceContext ctx(&job_sink, "job-minw");
+  session.set_trace_context(&ctx);
+  WaveSink global_sink;
+  obs::set_sink(&global_sink);
+  const auto state = session.run_until(flow::Stage::kRoute);
+  obs::set_sink(nullptr);
+  ASSERT_EQ(state, flow::SessionState::kReady);
+  ASSERT_TRUE(job_sink.executor_probe_began());
+
+  // The global sink gets none of the job's events, from any thread.
+  EXPECT_TRUE(global_sink.events().empty());
+
+  const std::vector<WaveSink::Rec> events = job_sink.events();
+  std::map<std::uint64_t, const WaveSink::Rec*> begun;
+  for (const auto& e : events) {
+    EXPECT_EQ(e.trace, "job-minw") << e.name;
+    if (e.kind == obs::Event::Kind::kSpanBegin) begun[e.id] = &e;
+  }
+  // Every probe span, wherever it ran, hangs under the search's span.
+  int probes = 0, executor_probes = 0;
+  for (const auto& e : events) {
+    if (e.kind != obs::Event::Kind::kSpanBegin ||
+        e.name != "route.pathfinder") {
+      continue;
+    }
+    ++probes;
+    executor_probes += e.on_executor;
+    const WaveSink::Rec* up = &e;
+    while (up->name != "route.minw_search" && begun.count(up->parent)) {
+      up = begun[up->parent];
+    }
+    EXPECT_EQ(up->name, "route.minw_search")
+        << "probe span " << e.id << " is not under the search";
+  }
+  EXPECT_GT(probes, 0);
+  EXPECT_GT(executor_probes, 0);
+}
+
+TEST(FlowSession, CancelFromAProbeWaveIsResumable) {
+  if (std::thread::hardware_concurrency() < 2) {
+    GTEST_SKIP() << "the shared executor needs a thread besides this one";
+  }
+  const auto net = small_design();
+  auto opt = fast_options();
+  opt.search_min_channel_width = true;
+  const auto oneshot = flow::run_flow_from_network(net, opt);
+
+  // The cancel comes from an executor thread's probe while the session's
+  // own thread is inside the same wave.
+  flow::FlowSession session(net, opt);
+  WaveSink sink(&session);
+  obs::set_sink(&sink);
+  const auto state = session.resume();
+  obs::set_sink(nullptr);
+  ASSERT_TRUE(sink.executor_probe_began());
+  EXPECT_EQ(state, flow::SessionState::kCancelled);
+  EXPECT_TRUE(session.completed(flow::Stage::kPlace));
+  EXPECT_FALSE(session.completed(flow::Stage::kRoute));
+  EXPECT_EQ(session.next_stage(), flow::Stage::kRoute);
+  EXPECT_EQ(session.result().rr_graph, nullptr);
+
+  EXPECT_EQ(session.resume(), flow::SessionState::kDone);
+  EXPECT_EQ(session.result().channel_width, oneshot.channel_width);
+  EXPECT_EQ(session.result().bitstream_bytes, oneshot.bitstream_bytes);
+}
+
 TEST(FlowSession, CancelBetweenStagesIsConsumedOnObservation) {
   flow::FlowSession session(small_design(), fast_options());
   session.cancel();
@@ -261,27 +400,52 @@ TEST(FlowSession, ConcurrentCancelRequestsNeverWedgeTheSession) {
   const auto opt = fast_options();
   const auto oneshot = flow::run_flow_from_network(net, opt);
 
+  // A finite storm of cancel() calls, spread over about as long as the
+  // flow takes, races the resume loop. Each request cancels at most one
+  // resume, so the loop ends however the scheduler interleaves the two
+  // threads.
+  constexpr int kStorm = 500;
   flow::FlowSession session(net, opt);
-  std::atomic<bool> stop{false};
+  std::atomic<int> issued{0};
   std::thread canceller([&] {
-    while (!stop.load(std::memory_order_acquire)) {
+    for (int i = 0; i < kStorm; ++i) {
       session.cancel();
-      std::this_thread::yield();
+      issued.fetch_add(1, std::memory_order_release);
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
   });
+  // Joins on every exit path, a failed ASSERT included: a joinable
+  // std::thread destroyed by an early return would terminate the binary.
+  struct Joiner {
+    std::thread& t;
+    ~Joiner() {
+      if (t.joinable()) t.join();
+    }
+  } joiner{canceller};
 
+  // The first resume starts with a request already raised, so at least
+  // one cancellation is observed whatever the scheduling.
+  while (issued.load(std::memory_order_acquire) == 0) {
+    std::this_thread::yield();
+  }
   int cancellations = 0;
-  for (int spins = 0; session.state() != flow::SessionState::kDone;
-       ++spins) {
-    ASSERT_LT(spins, 10000) << "session wedged by concurrent cancels";
+  while (session.state() != flow::SessionState::kDone &&
+         issued.load(std::memory_order_acquire) < kStorm) {
     const auto state = session.resume();
     ASSERT_TRUE(state == flow::SessionState::kDone ||
                 state == flow::SessionState::kCancelled);
     if (state == flow::SessionState::kCancelled) ++cancellations;
   }
-  stop.store(true, std::memory_order_release);
   canceller.join();
 
+  // Liveness once the storm is over: at most one request is still
+  // latched, so the session completes within two resumes.
+  for (int resumes = 0; session.state() != flow::SessionState::kDone;
+       ++resumes) {
+    ASSERT_LT(resumes, 2) << "session wedged by a stale cancel request";
+    const auto state = session.resume();
+    if (state == flow::SessionState::kCancelled) ++cancellations;
+  }
   EXPECT_GT(cancellations, 0);  // the loop really was interrupted
   EXPECT_EQ(session.result().bitstream_bytes, oneshot.bitstream_bytes);
 }

@@ -467,6 +467,42 @@ TEST(Obs, ReinstallingTheCurrentContextKeepsTheParentChain) {
   EXPECT_EQ(scoped.events.back().parent, root.id());
 }
 
+TEST(Obs, ScopedAttributionCarriesContextAndParentToAnotherThread) {
+  CaptureSink global, scoped;
+  obs::set_sink(&global);
+  obs::TraceContext ctx(&scoped, "job-11");
+  std::uint64_t submitter_id = 0;
+  {
+    obs::ScopedContext guard(&ctx);
+    obs::Span submitter("test.submitter");
+    submitter_id = submitter.id();
+    const obs::Attribution captured = obs::attribution();
+    std::thread worker([&] {
+      {
+        obs::ScopedAttribution adopt(captured);
+        obs::Span work("test.pool-work");
+      }
+      // The guard restored the worker's own (empty) attribution.
+      EXPECT_EQ(obs::context(), nullptr);
+      obs::Span own("test.worker-own");
+    });
+    worker.join();
+  }
+  obs::set_sink(nullptr);
+
+  // The pool span reached the submitter's sink, tagged, as a child of
+  // the submitting span.
+  ASSERT_EQ(scoped.events.size(), 4u);
+  EXPECT_EQ(scoped.events[1].name, "test.pool-work");
+  EXPECT_EQ(scoped.events[1].trace, "job-11");
+  EXPECT_EQ(scoped.events[1].parent, submitter_id);
+  // The worker's own span went to the global sink as a root.
+  ASSERT_EQ(global.events.size(), 2u);
+  EXPECT_EQ(global.events[0].name, "test.worker-own");
+  EXPECT_EQ(global.events[0].parent, 0u);
+  EXPECT_TRUE(global.events[0].trace.empty());
+}
+
 TEST(Obs, ContextClockStartsAtTheContextEpoch) {
   CaptureSink scoped;
   // No global sink at all: the context alone enables tracing.

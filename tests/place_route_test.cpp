@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <mutex>
+#include <ostream>
+#include <thread>
+#include <vector>
+
 #include "bench_gen/bench_gen.hpp"
+#include "obs/obs.hpp"
 #include "pack/pack.hpp"
 #include "place/multiseed.hpp"
 #include "place/place.hpp"
@@ -285,25 +292,169 @@ TEST(Route, IncrementalRerouteIsLegalAtFixedWidth) {
   }
 }
 
-TEST(Route, MinWidthSearchIndependentOfThreads) {
-  Design d(160, 8, 77);
-  place::Placement::AnnealOptions popt;
-  d.placement.anneal(popt);
-  route::RouteOptions o1;
-  o1.probe_threads = 1;
-  route::RouteResult r1;
-  const int w1 = route::minimum_channel_width(d.placement, d.spec, &r1, o1);
-  route::RouteOptions o4;
-  o4.probe_threads = 4;
-  route::RouteResult r4;
-  const int w4 = route::minimum_channel_width(d.placement, d.spec, &r4, o4);
-  ASSERT_GT(w1, 0);
-  EXPECT_EQ(w1, w4);
-  EXPECT_EQ(r1.total_wire_nodes, r4.total_wire_nodes);
-  ASSERT_EQ(r1.routes.size(), r4.routes.size());
-  for (std::size_t ni = 0; ni < r1.routes.size(); ++ni) {
-    EXPECT_EQ(r1.routes[ni].nodes, r4.routes[ni].nodes) << "net " << ni;
+/// One consumed min-W verdict, as the route.minw_probe point reports it.
+struct Verdict {
+  int width;
+  bool success;
+  bool oracle;
+  bool operator==(const Verdict&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Verdict& v) {
+  return os << (v.oracle ? "O" : "e") << v.width << (v.success ? "+" : "-");
+}
+
+/// Records one search's consumed verdict sequence and the probe counts of
+/// its route.minw_search span. Thread-safe: wave probes emit their spans
+/// from executor threads.
+class MinwSink : public obs::Sink {
+ public:
+  void on_event(const obs::Event& e) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (e.kind == obs::Event::Kind::kPoint &&
+        std::strcmp(e.name, "route.minw_probe") == 0) {
+      verdicts.push_back(Verdict{static_cast<int>(metric(e, "width")),
+                                 metric(e, "success") != 0.0,
+                                 metric(e, "oracle") != 0.0});
+    } else if (e.kind == obs::Event::Kind::kSpanEnd &&
+               std::strcmp(e.name, "route.minw_search") == 0) {
+      probes = metric(e, "probes");
+      spec_probes = metric(e, "spec_probes");
+      spec_abandoned = metric(e, "spec_abandoned");
+    }
   }
+
+  /// The oracle walk: the cold probes of the verdict sequence.
+  std::vector<Verdict> oracle_walk() const {
+    std::vector<Verdict> walk;
+    for (const Verdict& v : verdicts) {
+      if (v.oracle) walk.push_back(v);
+    }
+    return walk;
+  }
+
+  std::vector<Verdict> verdicts;
+  double probes = -1, spec_probes = -1, spec_abandoned = -1;
+
+ private:
+  static double metric(const obs::Event& e, const char* key) {
+    for (std::size_t i = 0; i < e.n_metrics; ++i) {
+      if (std::strcmp(e.metrics[i].key, key) == 0) return e.metrics[i].value;
+    }
+    return -1.0;
+  }
+  std::mutex mu_;
+};
+
+/// Runs the incremental min-W search with the given wave width, tracing
+/// into `sink` through a thread-local context (so concurrent searches
+/// keep their traces apart).
+int traced_search(const Design& d, int probe_threads,
+                  route::RouteResult* routing, MinwSink* sink) {
+  obs::TraceContext ctx(sink, "minw");
+  obs::ScopedContext guard(&ctx);
+  route::RouteOptions options;
+  options.probe_threads = probe_threads;
+  return route::minimum_channel_width(d.placement, d.spec, routing, options);
+}
+
+void expect_same_routes(const route::RouteResult& a,
+                        const route::RouteResult& b) {
+  EXPECT_EQ(a.total_wire_nodes, b.total_wire_nodes);
+  ASSERT_EQ(a.routes.size(), b.routes.size());
+  for (std::size_t ni = 0; ni < a.routes.size(); ++ni) {
+    EXPECT_EQ(a.routes[ni].nodes, b.routes[ni].nodes) << "net " << ni;
+    EXPECT_EQ(a.routes[ni].parent, b.routes[ni].parent) << "net " << ni;
+  }
+}
+
+TEST(Route, MinWidthSearchIndependentOfThreads) {
+  // Waves of 2, 3 and 4 probes must consume exactly the verdicts of the
+  // one-probe-at-a-time search. The designs cover the walk shapes of the
+  // oracle phase (names: gates/latches/seed):
+  //   160/8/77  the start width routes and the one below fails;
+  //   120/0/80  the start fails and the walk goes up two widths;
+  //   120/0/73  the walk goes down two widths before failing (as
+  //             syn_apex4 does: 22 routes, 21 routes, 20 fails).
+  enum class Walk { kOneDown, kUp, kTwoDown };
+  struct Case {
+    int gates, latches;
+    std::uint64_t seed;
+    Walk walk;
+  };
+  for (const Case& c : {Case{160, 8, 77, Walk::kOneDown},
+                        Case{120, 0, 80, Walk::kUp},
+                        Case{120, 0, 73, Walk::kTwoDown}}) {
+    SCOPED_TRACE(testing::Message() << c.gates << "/" << c.latches << "/"
+                                    << c.seed);
+    Design d(c.gates, c.latches, c.seed);
+    d.placement.anneal(place::Placement::AnnealOptions{});
+
+    route::RouteResult r1;
+    MinwSink s1;
+    const int w1 = traced_search(d, 1, &r1, &s1);
+    ASSERT_GT(w1, 0);
+    // One probe per wave: every launched probe's verdict is read.
+    EXPECT_EQ(s1.spec_probes, s1.probes);
+    EXPECT_EQ(s1.spec_abandoned, 0);
+    const std::vector<Verdict> walk = s1.oracle_walk();
+    ASSERT_GE(walk.size(), 2u);
+    switch (c.walk) {
+      case Walk::kOneDown:
+        EXPECT_TRUE(walk[0].success && !walk[1].success);
+        break;
+      case Walk::kUp:
+        EXPECT_FALSE(walk[0].success);
+        EXPECT_GE(walk.size(), 3u);
+        EXPECT_TRUE(walk.back().success);
+        break;
+      case Walk::kTwoDown:
+        ASSERT_GE(walk.size(), 3u);
+        EXPECT_TRUE(walk[0].success && walk[1].success);
+        EXPECT_FALSE(walk.back().success);
+        break;
+    }
+
+    for (int threads : {2, 3, 4}) {
+      SCOPED_TRACE(testing::Message() << "probe_threads " << threads);
+      route::RouteResult r;
+      MinwSink s;
+      EXPECT_EQ(traced_search(d, threads, &r, &s), w1);
+      EXPECT_EQ(s.verdicts, s1.verdicts);
+      EXPECT_EQ(s.probes, s1.probes);
+      // Every launched probe was either read or abandoned.
+      EXPECT_EQ(s.spec_probes, s.probes + s.spec_abandoned);
+      expect_same_routes(r, r1);
+    }
+  }
+}
+
+TEST(Route, ConcurrentMinWidthSearchesShareTheExecutor) {
+  // Two searches at once on the one process-wide executor each give their
+  // sequential result: waves join on their own probes only, never on the
+  // other search's.
+  Design a(160, 8, 77);
+  Design b(120, 0, 73);
+  a.placement.anneal(place::Placement::AnnealOptions{});
+  b.placement.anneal(place::Placement::AnnealOptions{});
+  route::RouteResult ra1, rb1;
+  MinwSink sa1, sb1;
+  const int wa1 = traced_search(a, 1, &ra1, &sa1);
+  const int wb1 = traced_search(b, 1, &rb1, &sb1);
+
+  route::RouteResult ra, rb;
+  MinwSink sa, sb;
+  int wa = -1, wb = -1;
+  std::thread ta([&] { wa = traced_search(a, 4, &ra, &sa); });
+  std::thread tb([&] { wb = traced_search(b, 4, &rb, &sb); });
+  ta.join();
+  tb.join();
+  EXPECT_EQ(wa, wa1);
+  EXPECT_EQ(wb, wb1);
+  EXPECT_EQ(sa.verdicts, sa1.verdicts);
+  EXPECT_EQ(sb.verdicts, sb1.verdicts);
+  expect_same_routes(ra, ra1);
+  expect_same_routes(rb, rb1);
 }
 
 TEST(RouteFiles, PlaceFileRoundTrip) {
