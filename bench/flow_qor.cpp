@@ -66,8 +66,9 @@ int main(int argc, char** argv) {
         secs += sm.wall_s;
         formal_checks += sm.counter("verify.formal_checks");
       }
-      // All seven hand-offs must have been proven by the SAT checker.
-      const bool formally_verified = formal_checks == 7;
+      // The proof ledger: one SAT proof per artifact at synth, map, pack,
+      // place and route (power and bitgen add none).
+      const bool formally_verified = formal_checks == 5;
       if (args.json) {
         w.object_in_array();
         w.field("name", spec.name);
@@ -130,7 +131,7 @@ int main(int argc, char** argv) {
   std::printf("\n%s", table.to_string().c_str());
   std::printf("\n'verified' = random-vector sequential equivalence of the "
               "decoded bitstream vs the mapped netlist\n"
-              "'formal'   = all seven stage hand-offs proven by the SAT "
-              "equivalence checker\n");
+              "'formal'   = each artifact proven once by the SAT equivalence "
+              "checker (synth, map, pack, place, route)\n");
   return failures == 0 ? 0 : 1;
 }

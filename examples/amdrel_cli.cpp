@@ -197,6 +197,7 @@ int main(int argc, char** argv) {
     if (cmd == "map") {
       if (argc < 3) return usage();
       auto net = netlist::read_blif_file(argv[2]);
+      net.validate();  // e.g. an undriven signal: exit 1 with the reason
       synth::LutMapOptions options;
       if (argc > 3) options.k = parse_int(argv[3], "map K");
       synth::LutMapStats stats;
@@ -208,6 +209,7 @@ int main(int argc, char** argv) {
     if (cmd == "pack") {
       if (argc < 3) return usage();
       auto net = netlist::read_blif_file(argv[2]);
+      net.validate();
       arch::ArchSpec spec;
       pack::PackedNetlist packed(net, spec);
       std::printf("%s", pack::write_net_string(packed).c_str());
@@ -331,6 +333,8 @@ int main(int argc, char** argv) {
       }
       auto base = load_design(argv[2], "top");
       auto edited = load_design(argv[3], "top");
+      base.validate();
+      edited.validate();
 
       flow::FlowOptions options;
       options.search_min_channel_width = true;

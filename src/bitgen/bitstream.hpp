@@ -35,14 +35,17 @@ struct WireRef {
 /// Routing switch kinds (what a configuration bit turns on).
 struct WireWireSwitch {  // switch-box pass transistor
   WireRef a, b;
+  bool operator==(const WireWireSwitch&) const = default;
 };
 struct OpinSwitch {  // output pin / input pad onto a track
   int x = 0, y = 0, pin = 0;
   WireRef wire;
+  bool operator==(const OpinSwitch&) const = default;
 };
 struct IpinSwitch {  // track into an input pin / output pad
   WireRef wire;
   int x = 0, y = 0, pin = 0;
+  bool operator==(const IpinSwitch&) const = default;
 };
 
 struct BleConfig {
@@ -53,18 +56,21 @@ struct BleConfig {
   bool clock_enable = false;     ///< BLE-level gated clock
   std::vector<int> input_sel;    ///< K entries: 0..I-1 = cluster input pin,
                                  ///< I..I+N-1 = BLE feedback, -1 = unused
+  bool operator==(const BleConfig&) const = default;
 };
 
 struct ClbConfig {
   int x = 0, y = 0;
   std::vector<BleConfig> bles;   ///< N entries
   bool clb_clock_enable = false;
+  bool operator==(const ClbConfig&) const = default;
 };
 
 struct PadConfig {
   int x = 0, y = 0, sub = 0;
   bool is_input = false;
   std::string signal;            ///< user signal name (pad constraints)
+  bool operator==(const PadConfig&) const = default;
 };
 
 struct Bitstream {
@@ -82,6 +88,9 @@ struct Bitstream {
 
   /// Total configuration bits (frame accounting for reports).
   long long config_bits() const;
+  /// Field-by-field; serialize_to writes every field, so two bitstreams
+  /// are equal exactly when their serialized bytes are.
+  bool operator==(const Bitstream&) const = default;
 };
 
 /// Generates the bitstream from a routed design.

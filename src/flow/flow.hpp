@@ -98,8 +98,8 @@ struct StageMetrics {
 enum class VerifyMode : int {
   kOff = 0,  ///< no equivalence checking
   kRandom,   ///< random-vector simulation at the legacy check points
-  kFormal,   ///< SAT-based proof of all seven hand-offs (src/verify)
-  kBoth,     ///< random vectors plus the formal proof
+  kFormal,   ///< SAT proof of each artifact against its predecessor
+  kBoth,     ///< random vectors plus the formal proofs
 };
 /// Lower-case mode name ("off", "random", "formal", "both").
 const char* verify_mode_name(VerifyMode mode);
@@ -111,10 +111,17 @@ struct FlowOptions {
   std::uint64_t seed = 1;
   /// Equivalence verification at stage hand-offs. kRandom (the default)
   /// runs the fast random-vector checks at the legacy points (EDIF
-  /// round-trip, LUT mapping, bitstream decode). kFormal / kBoth prove
-  /// every hand-off — synth round-trip, mapping, packing, placement,
-  /// routing (via an in-memory fabric decode), power-analysis inputs and
-  /// the final bitstream — with the SAT-based checker in src/verify.
+  /// round-trip, LUT mapping, the fabric decode at route). kFormal /
+  /// kBoth prove each artifact once against its predecessor with the
+  /// SAT-based checker in src/verify; formal proofs per stage:
+  ///
+  ///   synth  map  pack  place  route  power  bitgen
+  ///     1     1    1      1      1      0      0
+  ///
+  /// synth proves the EDIF (VHDL) or BLIF (network) round trip; route
+  /// proves the bitstream it builds, through a fabric decode. power reads
+  /// the packing the pack proof covered. bitgen checks instead, in every
+  /// mode but kOff, that the bytes read back as exactly that bitstream.
   VerifyMode verify_mode = VerifyMode::kRandom;
   std::uint64_t verify_seed = 1;      ///< seeds random vectors + SAT sweeps
   double verify_time_limit_s = 60.0;  ///< formal wall budget per hand-off
@@ -159,7 +166,10 @@ struct FlowResult {
   power::PowerReport power;
   // Timing.
   timing::TimingReport timing;
-  // Stage 6: FPGA programming file.
+  // Stage 6: FPGA programming file. The route stage builds `bitstream`
+  // from the routing it commits (so it is filled after
+  // run_until(kRoute)); the bitgen stage serializes it into
+  // `bitstream_bytes`, which stays empty until then.
   bitgen::Bitstream bitstream;
   std::vector<std::uint8_t> bitstream_bytes;
   /// Diagnostics from the per-stage lint barriers (check_invariants).

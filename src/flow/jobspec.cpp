@@ -206,7 +206,9 @@ util::Json job_spec_to_json(const JobSpec& spec) {
   return obj;
 }
 
-netlist::Network resolve_job_network(const JobSpec& spec) {
+namespace {
+
+netlist::Network load_job_network(const JobSpec& spec) {
   switch (spec.source) {
     case JobSpec::Source::kBlif:
       return netlist::read_blif_string(spec.text);
@@ -246,6 +248,17 @@ netlist::Network resolve_job_network(const JobSpec& spec) {
       break;
   }
   throw Error("resolve_job_network: job spec has no source");
+}
+
+}  // namespace
+
+netlist::Network resolve_job_network(const JobSpec& spec) {
+  // Outside netlists are checked before any kernel sees them: an undriven
+  // or multiply-driven signal fails the job with its reason instead of
+  // reaching the mapper's unchecked signal indexing.
+  netlist::Network net = load_job_network(spec);
+  net.validate();
+  return net;
 }
 
 std::string fnv1a64_hex(const std::vector<std::uint8_t>& bytes) {

@@ -73,7 +73,9 @@ JobSpec parse_job_spec_json(const std::string& text);
 util::Json job_spec_to_json(const JobSpec& spec);
 
 /// Materializes the entry network of a non-VHDL spec: parses inline
-/// BLIF, loads `path` by extension, or runs bench_gen (+ perturb).
+/// BLIF, loads `path` by extension, or runs bench_gen (+ perturb), then
+/// checks it with Network::validate() — a netlist with an undriven or
+/// multiply-driven signal throws Error here, before any kernel runs.
 /// kVhdl specs go through FlowSession's VHDL path instead (the EDIF
 /// round-trip is part of the synth stage); calling this on one throws.
 netlist::Network resolve_job_network(const JobSpec& spec);

@@ -59,6 +59,17 @@ void barrier(const lint::Report& report, const std::string& stage) {
   }
 }
 
+/// The bytes check that stands in for a second proof: the serialized
+/// bytes must read back as exactly the bitstream the fabric proof covered.
+void check_round_trip(const std::string& handoff,
+                      const std::vector<std::uint8_t>& bytes,
+                      const bitgen::Bitstream& bits) {
+  if (bitgen::deserialize(bytes) == bits) return;
+  throw InfeasibleError("bitstream round trip lost at stage '" + handoff +
+                        "': the bytes do not read back as the proven "
+                        "bitstream");
+}
+
 /// Registry counter increments between two snapshots, name-sorted (the
 /// snapshots are name-sorted already); zero deltas are dropped.
 std::vector<std::pair<std::string, std::uint64_t>> counter_deltas(
@@ -156,6 +167,14 @@ void FlowSession::verify_handoff(
     throw Error("formal equivalence inconclusive at stage '" + handoff +
                 "': " + res.message);
   }
+}
+
+void FlowSession::verify_fabric(
+    const std::string& handoff, const netlist::Network& ref,
+    const bitgen::Bitstream& bits,
+    const std::vector<std::pair<std::string, std::string>>& register_map) {
+  verify_handoff(handoff, ref, bitgen::decode_to_network(bits),
+                 /*legacy_random_point=*/true, register_map);
 }
 
 FlowSession::FlowSession(const netlist::Network& network,
@@ -461,9 +480,14 @@ void FlowSession::run_route() {
                          ": " + routing.message);
   }
   route::verify_routing(*rr_graph, *result_.placement, routing);
+  // DAGGER's device bitstream is built once, from the routing committed
+  // here; the routing proof below and the bitgen stage both read it.
+  bitgen::Bitstream bitstream = bitgen::generate_bitstream(
+      *result_.packed, *result_.placement, *rr_graph, routing, aspec);
   result_.rr_graph = std::move(rr_graph);
   result_.routing = std::move(routing);
   result_.channel_width = channel_width;
+  result_.bitstream = std::move(bitstream);
   if (options_.check_invariants) {
     result_.lint.set_stage("rr-graph");
     lint::lint_rr_graph(*result_.rr_graph, &result_.lint);
@@ -477,17 +501,9 @@ void FlowSession::run_route() {
                  route::write_route_string(*result_.rr_graph,
                                            *result_.placement,
                                            result_.routing));
-  if (wants_formal(options_.verify_mode)) {
-    // The routed design has no netlist form of its own; interpret it
-    // through the fabric (an in-memory bitstream decode) so a swapped or
-    // misattributed route shows up as a functional difference.
-    const bitgen::Bitstream bits = bitgen::generate_bitstream(
-        *result_.packed, *result_.placement, *result_.rr_graph,
-        result_.routing, aspec);
-    verify_handoff("routing (VPR)", *result_.mapped,
-                   bitgen::decode_to_network(bits),
-                   /*legacy_random_point=*/false,
-                   fabric_register_map(result_));
+  if (options_.verify_mode != VerifyMode::kOff) {
+    verify_fabric("routing (VPR)", *result_.mapped, result_.bitstream,
+                  fabric_register_map(result_));
   }
 }
 
@@ -501,14 +517,6 @@ void FlowSession::run_power() {
   result_.timing =
       timing::analyze_timing(*result_.packed, *result_.placement,
                              *result_.rr_graph, result_.routing, aspec);
-  if (wants_formal(options_.verify_mode)) {
-    // Power/timing consume the packed structure; prove it transitively
-    // against the original synthesized design (end-to-end across synth +
-    // map + pack), so the analyses demonstrably model the entry netlist.
-    verify_handoff("power analysis inputs (PowerModel)", result_.synthesized,
-                   pack::reconstruct_network(*result_.packed),
-                   /*legacy_random_point=*/false);
-  }
 }
 
 SessionState FlowSession::resume_with_edit(const netlist::Network& edited,
@@ -544,16 +552,15 @@ SessionState FlowSession::resume_with_edit(const netlist::Network& edited,
       barrier(result_.lint, "ECO recompile");
     }
     // The safety net: prove the recompiled bitstream implements the
-    // edited netlist before committing anything.
+    // edited netlist, and that its bytes carry exactly that bitstream,
+    // before committing anything.
     if (options_.verify_mode != VerifyMode::kOff) {
-      bitgen::Bitstream reparsed = bitgen::deserialize(er.bitstream_bytes);
       // Latch Q names survive LUT mapping, so the map built from the
       // recompiled packing/placement pins `edited`'s registers too.
-      verify_handoff("ECO recompile", edited,
-                     bitgen::decode_to_network(reparsed),
-                     /*legacy_random_point=*/true,
-                     fabric_register_map(*er.mapped, *er.packed,
-                                         *er.placement));
+      verify_fabric("ECO recompile", edited, er.bitstream,
+                    fabric_register_map(*er.mapped, *er.packed,
+                                        *er.placement));
+      check_round_trip("ECO recompile", er.bitstream_bytes, er.bitstream);
     }
     // Commit: the session now holds the edited design's implementation.
     entry_network_ = edited;
@@ -603,11 +610,8 @@ SessionState FlowSession::resume_with_edit(const netlist::Network& edited,
 }
 
 void FlowSession::run_bitgen() {
-  const arch::ArchSpec& aspec = *result_.arch;
-  // DAGGER.
-  result_.bitstream =
-      bitgen::generate_bitstream(*result_.packed, *result_.placement,
-                                 *result_.rr_graph, result_.routing, aspec);
+  // DAGGER: the programming file is the bitstream the route stage built
+  // and proved.
   result_.bitstream_bytes = bitgen::serialize(result_.bitstream);
   if (!options_.artifact_dir.empty()) {
     std::ofstream out(options_.artifact_dir + "/" +
@@ -623,14 +627,8 @@ void FlowSession::run_bitgen() {
     barrier(result_.lint, "bitstream generation");
   }
   if (options_.verify_mode != VerifyMode::kOff) {
-    // The strongest check in the flow: interpret the serialized bitstream
-    // back into a netlist and prove sequential equivalence with the
-    // mapped design.
-    bitgen::Bitstream reparsed =
-        bitgen::deserialize(result_.bitstream_bytes);
-    netlist::Network fabric = bitgen::decode_to_network(reparsed);
-    verify_handoff("bitstream (DAGGER)", *result_.mapped, fabric,
-                   /*legacy_random_point=*/true, fabric_register_map(result_));
+    check_round_trip("bitstream (DAGGER)", result_.bitstream_bytes,
+                     result_.bitstream);
   }
 }
 

@@ -145,7 +145,7 @@ class FlowSession {
   /// Equivalence barrier between a reference network and a stage's result,
   /// honoring options_.verify_mode. `legacy_random_point` marks the three
   /// historical random-vector check sites (EDIF round-trip, LUT mapping,
-  /// bitstream decode), which are the only ones kRandom runs; the formal
+  /// fabric decode), which are the only ones kRandom runs; the formal
   /// modes verify every call site. Throws InfeasibleError on a proven
   /// mismatch (with the counterexample) and Error when the formal proof
   /// is inconclusive within budget. SAT effort lands on the registry's
@@ -158,6 +158,15 @@ class FlowSession {
       const netlist::Network& impl, bool legacy_random_point,
       const std::vector<std::pair<std::string, std::string>>& register_map =
           {});
+  /// The fabric proof (route stage and ECO): a routed design has no
+  /// netlist form of its own, so `bits` is interpreted through the fabric
+  /// decoder and proven against `ref` with the registers pinned by
+  /// `register_map`; a swapped or misattributed route shows up as a
+  /// functional difference. A legacy random-vector point.
+  void verify_fabric(
+      const std::string& handoff, const netlist::Network& ref,
+      const bitgen::Bitstream& bits,
+      const std::vector<std::pair<std::string, std::string>>& register_map);
   void run_stage(Stage stage);
   void run_synth();
   void run_map();

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace amdrel::lint {
@@ -161,29 +162,6 @@ std::string Report::to_text() const {
   return os.str();
 }
 
-namespace {
-
-void json_escape(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << strprintf("\\u%04x", c);
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
-
 std::string Report::to_json() const {
   std::ostringstream os;
   os << "{\"diagnostics\":[";
@@ -191,13 +169,13 @@ std::string Report::to_json() const {
     const Diagnostic& d = diags_[i];
     if (i) os << ",";
     os << "{\"rule\":";
-    json_escape(os, d.rule);
+    os << '"' << util::json_escape_string(d.rule) << '"';
     os << ",\"severity\":\"" << severity_name(d.severity) << "\",\"object\":";
-    json_escape(os, d.object);
+    os << '"' << util::json_escape_string(d.object) << '"';
     os << ",\"message\":";
-    json_escape(os, d.message);
+    os << '"' << util::json_escape_string(d.message) << '"';
     os << ",\"stage\":";
-    json_escape(os, d.stage);
+    os << '"' << util::json_escape_string(d.stage) << '"';
     os << "}";
   }
   os << "],\"counts\":{\"error\":" << count(Severity::kError)

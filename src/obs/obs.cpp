@@ -9,8 +9,8 @@ namespace amdrel::obs {
 namespace detail {
 
 std::atomic<Sink*> g_sink{nullptr};
-thread_local const TraceContext* t_context = nullptr;
-thread_local std::uint64_t t_open_span = 0;
+thread_local constinit const TraceContext* t_context = nullptr;
+thread_local constinit std::uint64_t t_open_span = 0;
 
 namespace {
 std::chrono::steady_clock::time_point g_epoch = std::chrono::steady_clock::now();

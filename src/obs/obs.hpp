@@ -90,10 +90,11 @@ struct TraceContext {
 namespace detail {
 extern std::atomic<Sink*> g_sink;
 /// The context installed on this thread (null = fall back to g_sink).
-extern thread_local const TraceContext* t_context;
+/// constinit: statically initialized, so reads need no TLS init wrapper.
+extern thread_local constinit const TraceContext* t_context;
 /// Id of the innermost span currently open on this thread (0 = none);
 /// the parent-linkage source for new spans and points.
-extern thread_local std::uint64_t t_open_span;
+extern thread_local constinit std::uint64_t t_open_span;
 /// Allocates a process-unique nonzero span id.
 std::uint64_t next_span_id();
 /// Seconds since the current sink was attached.

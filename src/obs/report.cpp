@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace amdrel::obs {
@@ -69,15 +70,6 @@ class LineCursor {
   const std::string& s_;
   std::size_t i_ = 0;
 };
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
 
 /// Exact quantile over a sorted sample (nearest-rank).
 double quantile(const std::vector<double>& sorted, double q) {
@@ -425,14 +417,14 @@ std::string TraceReport::to_json() const {
         "%s{\"name\":\"%s\",\"kind\":\"%s\",\"count\":%llu,"
         "\"total_s\":%.9g,\"self_s\":%.9g,\"p50_s\":%.9g,\"p95_s\":%.9g,"
         "\"metrics\":{",
-        i > 0 ? "," : "", json_escape(a.name).c_str(),
+        i > 0 ? "," : "", util::json_escape_string(a.name).c_str(),
         a.is_span ? "span" : "point",
         static_cast<unsigned long long>(a.count), a.total_s, a.self_s,
         a.p50_s, a.p95_s);
     bool first = true;
     for (const auto& [k, v] : a.metric_sums) {
       out += strprintf("%s\"%s\":%.9g", first ? "" : ",",
-                       json_escape(k).c_str(), v);
+                       util::json_escape_string(k).c_str(), v);
       first = false;
     }
     out += "}}";
@@ -443,7 +435,7 @@ std::string TraceReport::to_json() const {
   bool first = true;
   for (const auto& [stage, w] : qor.stages) {
     out += strprintf("%s\"%s\":{\"runs\":%llu,\"wall_s\":%.9g}",
-                     first ? "" : ",", json_escape(stage).c_str(),
+                     first ? "" : ",", util::json_escape_string(stage).c_str(),
                      static_cast<unsigned long long>(w.runs), w.wall_s);
     first = false;
   }

@@ -39,8 +39,8 @@ struct Block {
 /// A placed design: blocks, their locations, and the inter-block nets.
 class Placement {
  public:
-  /// `placement_seed` seeds the random initial placement (multi-seed
-  /// placement gives each attempt its own so the anneals start apart).
+  /// `placement_seed` seeds the random initial placement (different seeds
+  /// start the anneal from different shuffles).
   /// `nx`/`ny` override the automatic square grid sizing when > 0 (e.g.
   /// non-square RR-graph tests); the override must still fit the design.
   Placement(const pack::PackedNetlist& packed, const arch::ArchSpec& spec,

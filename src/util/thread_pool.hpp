@@ -2,7 +2,7 @@
 // Fixed-size thread pool with a parallel_for helper.
 //
 // The CAD flow uses it for embarrassingly parallel sweeps (device sizing
-// experiments, multi-seed placement, random-vector simulation batches).
+// experiments, random-vector simulation batches).
 // Work items must be independent; exceptions thrown by items are captured
 // and rethrown (first one wins) on the calling thread. ThreadPool::shared()
 // is the one process-wide pool the min-W probe waves run on.

@@ -9,6 +9,7 @@
 
 #include "netlist/simulate.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "verify/cnf.hpp"
@@ -840,33 +841,10 @@ std::string EquivResult::to_text() const {
   return os.str();
 }
 
-namespace {
-
-void json_escape(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << strprintf("\\u%04x", c);
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
-
 std::string EquivResult::to_json() const {
   std::ostringstream os;
   os << "{\"status\":\"" << equiv_status_name(status) << "\",\"message\":";
-  json_escape(os, message);
+  os << '"' << util::json_escape_string(message) << '"';
   os << ",\"seed\":" << seed << ",\"matched_registers\":" << matched_registers
      << ",\"proved_outputs\":" << proved_outputs
      << ",\"merged_points\":" << merged_points << ",\"sat\":{\"vars\":"
@@ -880,25 +858,25 @@ std::string EquivResult::to_json() const {
      << ",\"wall_s\":" << strprintf("%.6f", stats.wall_s) << "}";
   if (cex.has_value()) {
     os << ",\"counterexample\":{\"diverging_output\":";
-    json_escape(os, cex->diverging_output);
+    os << '"' << util::json_escape_string(cex->diverging_output) << '"';
     os << ",\"value_a\":" << (cex->value_a ? "true" : "false")
        << ",\"value_b\":" << (cex->value_b ? "true" : "false")
        << ",\"inputs\":{";
     for (std::size_t i = 0; i < cex->inputs.size(); ++i) {
       if (i) os << ",";
-      json_escape(os, cex->inputs[i].first);
+      os << '"' << util::json_escape_string(cex->inputs[i].first) << '"';
       os << ":" << (cex->inputs[i].second ? "true" : "false");
     }
     os << "},\"registers\":{";
     for (std::size_t i = 0; i < cex->registers.size(); ++i) {
       if (i) os << ",";
-      json_escape(os, cex->registers[i].first);
+      os << '"' << util::json_escape_string(cex->registers[i].first) << '"';
       os << ":" << (cex->registers[i].second ? "true" : "false");
     }
     os << "},\"care_inputs\":[";
     for (std::size_t i = 0; i < cex->care_inputs.size(); ++i) {
       if (i) os << ",";
-      json_escape(os, cex->care_inputs[i]);
+      os << '"' << util::json_escape_string(cex->care_inputs[i]) << '"';
     }
     os << "]}";
   }

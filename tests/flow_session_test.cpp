@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -14,6 +15,8 @@
 #include <vector>
 
 #include "bench_gen/bench_gen.hpp"
+#include "bitgen/bitstream.hpp"
+#include "flow/jobspec.hpp"
 #include "flow/session.hpp"
 #include "json_check.hpp"
 #include "netlist/blif.hpp"
@@ -466,6 +469,42 @@ TEST(FlowSession, StageFailureCarriesStageNameAndTimes) {
   }
   EXPECT_EQ(session.state(), flow::SessionState::kFailed);
   EXPECT_THROW(session.resume(), Error);  // failed sessions stay frozen
+}
+
+/// The bitstream is built once, by the route stage, from the routing it
+/// commits; bitgen only serializes it.
+TEST(FlowSession, RouteBuildsTheBitstreamAndBitgenSerializesIt) {
+  flow::FlowSession session(small_design(), fast_options());
+  ASSERT_EQ(session.run_until(flow::Stage::kRoute), flow::SessionState::kReady);
+  const flow::FlowResult& r = session.result();
+  EXPECT_FALSE(r.bitstream.clbs.empty());
+  EXPECT_TRUE(r.bitstream_bytes.empty());
+  EXPECT_EQ(r.metrics(flow::Stage::kRoute).counter("bitgen.config_bits"),
+            static_cast<std::uint64_t>(r.bitstream.config_bits()));
+
+  ASSERT_EQ(session.resume(), flow::SessionState::kDone);
+  EXPECT_EQ(r.metrics(flow::Stage::kBitgen).counter("bitgen.config_bits"),
+            0u);  // generate_bitstream did not run again
+  EXPECT_EQ(r.bitstream_bytes, bitgen::serialize(r.bitstream));
+}
+
+/// An outside netlist with an undriven signal is rejected where the job
+/// enters the flow, with the reason, before any kernel indexes it.
+TEST(FlowSession, JobSpecRejectsAnUndrivenSignal) {
+  std::ifstream in(fixture("eq_guard_undriven.blif"));
+  ASSERT_TRUE(in);
+  flow::JobSpec spec;
+  spec.source = flow::JobSpec::Source::kBlif;
+  spec.text.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+  try {
+    flow::FlowSession session(spec);
+    FAIL() << "expected the undriven signal to be rejected";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("undriven signal i1"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(FlowSession, WrappersStillProduceCompleteResults) {

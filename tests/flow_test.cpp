@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "bench_gen/bench_gen.hpp"
 #include "bitgen/bitstream.hpp"
 #include "flow/flow.hpp"
@@ -95,6 +97,9 @@ TEST(Flow, ClockGatingReducesClockPower) {
   EXPECT_LT(result.power.clock_w, result.power.clock_ungated_w);
 }
 
+/// The bitgen stage's check in place of a second proof: the bytes must
+/// read back as exactly the bitstream the route stage proved, so a single
+/// flipped byte of a CLB frame fails it.
 TEST(Bitstream, SerializeRoundTrip) {
   bench_gen::BenchSpec spec;
   spec.n_gates = 100;
@@ -105,12 +110,26 @@ TEST(Bitstream, SerializeRoundTrip) {
   opt.verify_mode = flow::VerifyMode::kOff;
   auto result = flow::run_flow_from_network(net, opt);
 
-  auto bytes = bitgen::serialize(result.bitstream);
-  auto back = bitgen::deserialize(bytes);
-  EXPECT_EQ(back.design, result.bitstream.design);
-  EXPECT_EQ(back.clbs.size(), result.bitstream.clbs.size());
-  EXPECT_EQ(back.wire_switches.size(), result.bitstream.wire_switches.size());
-  EXPECT_EQ(back.config_bits(), result.bitstream.config_bits());
+  const bitgen::Bitstream& b = result.bitstream;
+  ASSERT_FALSE(b.clbs.empty());
+  const auto bytes = bitgen::serialize(b);
+  EXPECT_EQ(bytes, result.bitstream_bytes);
+  EXPECT_TRUE(bitgen::deserialize(bytes) == b);
+
+  // Locate a byte of the first CLB frame without restating the format:
+  // it is where the bytes of a copy with one LUT bit flipped differ.
+  bitgen::Bitstream moved = b;
+  moved.clbs[0].bles[0].lut_bits ^= 1u;
+  const auto moved_bytes = bitgen::serialize(moved);
+  ASSERT_EQ(moved_bytes.size(), bytes.size());
+  const auto at = static_cast<std::size_t>(
+      std::mismatch(bytes.begin(), bytes.end(), moved_bytes.begin()).first -
+      bytes.begin());
+  ASSERT_LT(at, bytes.size());
+
+  auto flipped = bytes;
+  flipped[at] ^= 0xff;
+  EXPECT_FALSE(bitgen::deserialize(flipped) == b);
 }
 
 TEST(Bitstream, DecodedFabricIsSequentiallyEquivalent) {

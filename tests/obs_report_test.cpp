@@ -13,6 +13,7 @@
 #include "obs/obs.hpp"
 #include "obs/report.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace amdrel {
 namespace {
@@ -256,6 +257,23 @@ TEST(TraceAnalyze, TextAndJsonRendering) {
   const std::string json = r.to_json();
   EXPECT_TRUE(json_valid(json)) << json;
   EXPECT_NE(json.find("\"flow_qor\""), std::string::npos);
+}
+
+/// Names come from trace files, which may carry control characters; the
+/// JSON rendering must still parse and give the name back unchanged.
+TEST(TraceAnalyze, JsonEscapesControlCharactersInNames) {
+  obs::TraceReport r;
+  obs::NameAggregate a;
+  a.name = "route.\"probe\"\n\tw=12\\";
+  a.is_span = true;
+  a.metric_sums["bytes\n"] = 1.0;
+  r.aggregates.push_back(a);
+  r.qor.stages["bit\rgen"].runs = 1;
+  const util::Json json = util::parse_json(r.to_json());
+  const util::Json& name = json.at("names").as_array().at(0);
+  EXPECT_EQ(name.at("name").as_string(), a.name);
+  EXPECT_EQ(name.at("metrics").keys().at(0), "bytes\n");
+  EXPECT_EQ(json.at("flow_qor").at("stages").keys().at(0), "bit\rgen");
 }
 
 TEST(TraceAnalyze, FileVariantThrowsOnMissingFile) {

@@ -9,7 +9,6 @@
 #include "bench_gen/bench_gen.hpp"
 #include "obs/obs.hpp"
 #include "pack/pack.hpp"
-#include "place/multiseed.hpp"
 #include "place/place.hpp"
 #include "route/pathfinder.hpp"
 #include "route/route_files.hpp"
@@ -208,25 +207,6 @@ TEST(Route, BetterPlacementRoutesNarrower) {
   ASSERT_GT(w_random, 0);
   ASSERT_GT(w_annealed, 0);
   EXPECT_LE(w_annealed, w_random);
-}
-
-TEST(MultiSeed, PicksBestOfSeeds) {
-  Design d(200, 8, 39);
-  place::MultiSeedOptions opt;
-  opt.n_seeds = 3;
-  opt.n_threads = 3;
-  auto result = place::place_multi_seed(d.packed, d.spec, opt);
-  ASSERT_NE(result.best, nullptr);
-  result.best->validate();
-  // The winner is no worse than the losers.
-  EXPECT_LE(result.best_stats.final_cost, result.worst_cost + 1e-9);
-  // And matches a single-seed run with the winning seed (which seeds the
-  // initial placement too, so every attempt starts from its own shuffle).
-  place::Placement single(d.packed, d.spec, result.best_seed);
-  place::Placement::AnnealOptions aopt = opt.anneal;
-  aopt.seed = result.best_seed;
-  auto stats = single.anneal(aopt);
-  EXPECT_DOUBLE_EQ(stats.final_cost, result.best_stats.final_cost);
 }
 
 TEST(MultiSeed, SeedsStartFromDistinctInitialPlacements) {

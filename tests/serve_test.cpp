@@ -15,6 +15,8 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -224,6 +226,42 @@ TEST(Serve, CancelThenStatus) {
   EXPECT_EQ(reply.at("state").as_string(), "cancelled");
   EXPECT_EQ(server.jobs_finished(), 2);
   server.shutdown(false);
+}
+
+/// A netlist with an undriven signal fails its own job, with the reason,
+/// and the daemon keeps serving: the next job still completes.
+TEST(Serve, UndrivenSignalFailsOnlyThatJob) {
+  std::ifstream in(std::string(AMDREL_FIXTURE_DIR) +
+                   "/eq_guard_undriven.blif");
+  ASSERT_TRUE(in);
+  util::Json job = util::Json::make_object();
+  job.set("source", "blif");
+  job.set("text", std::string(std::istreambuf_iterator<char>(in),
+                              std::istreambuf_iterator<char>()));
+  util::Json submit = util::Json::make_object();
+  submit.set("cmd", "submit");
+  submit.set("job", std::move(job));
+
+  Server server;
+  server.start();
+  Client client(server.port());
+  auto run = [&](const std::string& request) {
+    util::Json reply = client.request(request);
+    EXPECT_TRUE(reply.at("ok").as_bool()) << reply.dump();
+    return client.request(
+        strprintf("{\"cmd\":\"result\",\"id\":%lld,\"wait\":true,"
+                  "\"timeout_s\":120}",
+                  static_cast<long long>(reply.at("id").as_int())));
+  };
+  util::Json reply = run(submit.dump());
+  EXPECT_EQ(reply.at("state").as_string(), "failed") << reply.dump();
+  EXPECT_NE(reply.at("error").as_string().find("undriven signal i1"),
+            std::string::npos)
+      << reply.dump();
+
+  reply = run("{\"cmd\":\"submit\",\"job\":" + quick_job_json(6) + "}");
+  EXPECT_EQ(reply.at("state").as_string(), "done") << reply.dump();
+  server.shutdown(true);
 }
 
 TEST(Serve, ShutdownDrainsInflightJobs) {

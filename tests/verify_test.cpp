@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <string>
 #include <vector>
 
 #include "bench_gen/bench_gen.hpp"
 #include "bitgen/bitstream.hpp"
+#include "flow/jobspec.hpp"
 #include "flow/session.hpp"
 #include "lint/equiv_rules.hpp"
 #include "netlist/blif.hpp"
@@ -380,7 +382,25 @@ TEST(EquivLint, BudgetExhaustionFiresEq002) {
 
 // ------------------------------------------------------ flow integration
 
-TEST(FlowVerify, FormalModeProvesAllSevenHandoffs) {
+/// The proof ledger: each artifact is proven once against its
+/// predecessor — synth (the round trip), map, pack, place and route (the
+/// bitstream, through a fabric decode); power reads the proven packing and
+/// bitgen only checks that the bytes read back as the proven bitstream.
+void expect_formal_ledger(const flow::FlowResult& result) {
+  const std::uint64_t want[flow::kNumStages] = {1, 1, 1, 1, 1, 0, 0};
+  std::uint64_t random = 0, conflicts_counted = 0;
+  for (int s = 0; s < flow::kNumStages; ++s) {
+    const auto stage = static_cast<flow::Stage>(s);
+    EXPECT_EQ(result.metrics(stage).counter("verify.formal_checks"), want[s])
+        << flow::stage_name(stage);
+    random += result.metrics(stage).counter("verify.random_checks");
+    conflicts_counted += result.metrics(stage).counter("verify.sat_conflicts");
+  }
+  EXPECT_EQ(random, 0u);
+  EXPECT_GT(conflicts_counted, 0u);
+}
+
+TEST(FlowVerify, FormalModeProvesEachArtifactOnce) {
   bench_gen::BenchSpec spec;
   spec.n_inputs = 8;
   spec.n_outputs = 6;
@@ -392,16 +412,17 @@ TEST(FlowVerify, FormalModeProvesAllSevenHandoffs) {
   options.verify_mode = flow::VerifyMode::kFormal;
   flow::FlowSession session(net, options);
   ASSERT_EQ(session.resume(), flow::SessionState::kDone);
+  expect_formal_ledger(session.result());
 
-  std::uint64_t formal = 0, random = 0, conflicts_counted = 0;
-  for (const auto& metrics : session.result().stage_metrics) {
-    formal += metrics.counter("verify.formal_checks");
-    random += metrics.counter("verify.random_checks");
-    conflicts_counted += metrics.counter("verify.sat_conflicts");
-  }
-  EXPECT_EQ(formal, 7u);
-  EXPECT_EQ(random, 0u);
-  EXPECT_GT(conflicts_counted, 0u);
+  // VHDL entry: the same ledger, with the EDIF round trip at synth.
+  flow::JobSpec job;
+  job.source = flow::JobSpec::Source::kFile;
+  job.path = fixture("traffic_light.vhd");
+  job.top = "traffic";
+  job.options.verify_mode = flow::VerifyMode::kFormal;
+  flow::FlowSession vhdl(job);
+  ASSERT_EQ(vhdl.resume(), flow::SessionState::kDone);
+  expect_formal_ledger(vhdl.result());
 }
 
 TEST(FlowVerify, RandomModeKeepsLegacyCheckPoints) {
@@ -422,9 +443,62 @@ TEST(FlowVerify, RandomModeKeepsLegacyCheckPoints) {
     random += metrics.counter("verify.random_checks");
   }
   EXPECT_EQ(formal, 0u);
-  // Network entry runs the mapping + bitstream legacy points (the EDIF
-  // round-trip one belongs to the VHDL entry).
+  // Network entry runs the mapping + fabric-decode legacy points (the
+  // EDIF round-trip one belongs to the VHDL entry); the fabric decode
+  // runs where the bitstream is built, at route.
   EXPECT_EQ(random, 2u);
+  const flow::FlowResult& r = session.result();
+  EXPECT_EQ(r.metrics(flow::Stage::kRoute).counter("verify.random_checks"),
+            1u);
+  EXPECT_EQ(r.metrics(flow::Stage::kBitgen).counter("verify.random_checks"),
+            0u);
+
+  flow::JobSpec job;
+  job.source = flow::JobSpec::Source::kFile;
+  job.path = fixture("traffic_light.vhd");
+  job.top = "traffic";
+  job.options.verify_mode = flow::VerifyMode::kRandom;
+  flow::FlowSession vhdl(job);
+  ASSERT_EQ(vhdl.resume(), flow::SessionState::kDone);
+  random = 0;
+  for (const auto& metrics : vhdl.result().stage_metrics) {
+    random += metrics.counter("verify.random_checks");
+  }
+  EXPECT_EQ(random, 3u);
+}
+
+/// The route-stage proof on a miscompile random vectors cannot see:
+/// clearing the one set bit of an AND4 LUT makes y constant 0, which
+/// differs from the AND of 16 inputs on a single pattern in 2^16.
+TEST(FlowVerify, RouteProofCatchesAClearedAnd4Bit) {
+  const auto net = netlist::read_blif_file(fixture("eq_guard.blif"));
+  flow::FlowOptions options;
+  options.verify_mode = flow::VerifyMode::kFormal;
+  flow::FlowSession session(net, options);
+  ASSERT_EQ(session.resume(), flow::SessionState::kDone);
+  const flow::FlowResult& result = session.result();
+
+  bitgen::Bitstream corrupt = result.bitstream;
+  bool cleared = false;
+  for (auto& clb : corrupt.clbs) {
+    for (auto& ble : clb.bles) {
+      if (!cleared && ble.used && std::popcount(ble.lut_bits) == 1) {
+        ble.lut_bits = 0;
+        cleared = true;
+      }
+    }
+  }
+  ASSERT_TRUE(cleared) << "no AND4 LUT in the eq_guard bitstream";
+  const netlist::Network fabric = bitgen::decode_to_network(corrupt);
+
+  EXPECT_TRUE(random_vectors_miss(*result.mapped, fabric));
+  verify::EquivOptions eopt;
+  eopt.register_map = flow::fabric_register_map(result);
+  const auto proof = verify::prove_equivalence(*result.mapped, fabric, eopt);
+  ASSERT_EQ(proof.status, verify::EquivStatus::kNotEquivalent)
+      << proof.message;
+  ASSERT_TRUE(proof.cex.has_value());
+  expect_replayable(*result.mapped, fabric, *proof.cex);
 }
 
 TEST(FlowVerify, FormalModeCatchesCorruptedMapping) {
@@ -432,7 +506,7 @@ TEST(FlowVerify, FormalModeCatchesCorruptedMapping) {
   flow::FlowOptions options;
   options.verify_mode = flow::VerifyMode::kFormal;
   flow::FlowSession session(net, options);
-  // Sanity: the honest flow passes all seven proofs.
+  // Sanity: the honest flow passes every proof of the ledger.
   ASSERT_EQ(session.resume(), flow::SessionState::kDone);
 
   // A session whose mapped netlist is corrupted behind the flow's back
