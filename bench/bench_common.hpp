@@ -93,52 +93,4 @@ struct ScopedMetricsFile : flow::RuntimeMetricsGuard {
       : flow::RuntimeMetricsGuard(args.runtime) {}
 };
 
-/// Minimal JSON writer for the benches' flat records: objects, arrays,
-/// string/number/bool fields. Emits to stdout; no escaping beyond what the
-/// fixed key/label vocabulary of the drivers needs.
-class JsonWriter {
- public:
-  void begin_object() { open('{'); }
-  void end_object() { close('}'); }
-  void begin_array(const char* key) { item(); std::printf("\"%s\":", key); open('['); }
-  void end_array() { close(']'); }
-  void object_in_array() { item(); open('{'); }
-
-  void field(const char* key, const char* value) {
-    item();
-    std::printf("\"%s\":\"%s\"", key, value);
-  }
-  void field(const char* key, const std::string& value) {
-    field(key, value.c_str());
-  }
-  void field(const char* key, double value) {
-    item();
-    std::printf("\"%s\":%.9g", key, value);
-  }
-  void field(const char* key, int value) {
-    item();
-    std::printf("\"%s\":%d", key, value);
-  }
-  void field(const char* key, bool value) {
-    item();
-    std::printf("\"%s\":%s", key, value ? "true" : "false");
-  }
-  void finish() { std::printf("\n"); }
-
- private:
-  void open(char c) {
-    std::printf("%c", c);
-    first_ = true;
-  }
-  void close(char c) {
-    std::printf("%c", c);
-    first_ = false;
-  }
-  void item() {
-    if (!first_) std::printf(",");
-    first_ = false;
-  }
-  bool first_ = true;
-};
-
 }  // namespace amdrel::bench

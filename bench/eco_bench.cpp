@@ -24,6 +24,7 @@
 #include "bitgen/bitstream.hpp"
 #include "eco/eco.hpp"
 #include "flow/session.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "verify/equiv.hpp"
@@ -63,12 +64,7 @@ int main(int argc, char** argv) {
 
   Table table({"circuit", "gates", "dirty %", "W", "scratch s", "eco s",
                "speedup", "reuse %", "nets rerouted", "formal"});
-  bench::JsonWriter w;
-  if (args.json) {
-    w.begin_object();
-    w.field("bench", "eco_bench");
-    w.begin_array("circuits");
-  }
+  util::Json circuits = util::Json::make_array();
 
   int failures = 0;
   for (const auto& wl : workloads) {
@@ -154,28 +150,28 @@ int main(int argc, char** argv) {
       (void)scratch;
 
       if (args.json) {
-        w.object_in_array();
-        w.field("name", wl.name);
-        w.field("gates", static_cast<int>(base.gates().size()));
-        w.field("dirty_pct", stats.entry_diff.dirty_pct());
-        w.field("channel_width", stats.channel_width);
-        w.field("scratch_s", scratch_s);
-        w.field("eco_s", eco_s);
-        w.field("speedup", speedup);
-        w.field("reuse_ratio", stats.reuse_ratio());
-        w.field("incremental_map", stats.incremental_map);
-        w.field("luts_total", stats.luts_total);
-        w.field("luts_reused", stats.luts_reused);
-        w.field("clusters_total", stats.clusters_total);
-        w.field("clusters_reused", stats.clusters_reused);
-        w.field("blocks_total", stats.blocks_total);
-        w.field("blocks_matched", stats.blocks_matched);
-        w.field("nets_total", stats.nets_total);
-        w.field("nets_seeded", stats.nets_seeded);
-        w.field("nets_rerouted", stats.nets_rerouted);
-        w.field("fallbacks", stats.fallbacks);
-        w.field("formally_verified", formally_verified);
-        w.end_object();
+        util::Json c = util::Json::make_object();
+        c.set("name", wl.name);
+        c.set("gates", static_cast<int>(base.gates().size()));
+        c.set("dirty_pct", stats.entry_diff.dirty_pct());
+        c.set("channel_width", stats.channel_width);
+        c.set("scratch_s", scratch_s);
+        c.set("eco_s", eco_s);
+        c.set("speedup", speedup);
+        c.set("reuse_ratio", stats.reuse_ratio());
+        c.set("incremental_map", stats.incremental_map);
+        c.set("luts_total", stats.luts_total);
+        c.set("luts_reused", stats.luts_reused);
+        c.set("clusters_total", stats.clusters_total);
+        c.set("clusters_reused", stats.clusters_reused);
+        c.set("blocks_total", stats.blocks_total);
+        c.set("blocks_matched", stats.blocks_matched);
+        c.set("nets_total", stats.nets_total);
+        c.set("nets_seeded", stats.nets_seeded);
+        c.set("nets_rerouted", stats.nets_rerouted);
+        c.set("fallbacks", stats.fallbacks);
+        c.set("formally_verified", formally_verified);
+        circuits.push_back(std::move(c));
       } else {
         table.add_row({wl.name,
                        std::to_string(static_cast<int>(base.gates().size())),
@@ -192,11 +188,11 @@ int main(int argc, char** argv) {
     } catch (const std::exception& e) {
       ++failures;
       if (args.json) {
-        w.object_in_array();
-        w.field("name", wl.name);
-        w.field("formally_verified", false);
-        w.field("error", e.what());
-        w.end_object();
+        util::Json c = util::Json::make_object();
+        c.set("name", wl.name);
+        c.set("formally_verified", false);
+        c.set("error", e.what());
+        circuits.push_back(std::move(c));
       } else {
         std::printf("  %-10s FAILED: %s\n", wl.name, e.what());
       }
@@ -204,10 +200,11 @@ int main(int argc, char** argv) {
   }
 
   if (args.json) {
-    w.end_array();
-    w.field("failures", failures);
-    w.end_object();
-    w.finish();
+    util::Json doc = util::Json::make_object();
+    doc.set("bench", "eco_bench");
+    doc.set("circuits", std::move(circuits));
+    doc.set("failures", failures);
+    std::printf("%s\n", doc.dump().c_str());
     return failures == 0 ? 0 : 1;
   }
 

@@ -12,6 +12,7 @@
 
 #include "bench_common.hpp"
 #include "cells/routing_expt.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -64,30 +65,26 @@ inline void run_passtransistor_figure(const char* name, const char* title,
   }
 
   if (args.json) {
-    JsonWriter j;
-    j.begin_object();
-    j.field("bench", name);
-    j.begin_array("points");
+    util::Json points = util::Json::make_array();
+    util::Json optimal = util::Json::make_array();
     for (std::size_t li = 0; li < lengths.size(); ++li) {
       for (std::size_t wi = 0; wi < widths.size(); ++wi) {
-        j.object_in_array();
-        j.field("length", lengths[li]);
-        j.field("width_x", widths[wi]);
-        j.field("eda_norm", eda[li][wi] / w10[li]);
-        j.end_object();
+        util::Json pt = util::Json::make_object();
+        pt.set("length", lengths[li]);
+        pt.set("width_x", widths[wi]);
+        pt.set("eda_norm", eda[li][wi] / w10[li]);
+        points.push_back(std::move(pt));
       }
+      util::Json best = util::Json::make_object();
+      best.set("length", lengths[li]);
+      best.set("width_x", best_w[li]);
+      optimal.push_back(std::move(best));
     }
-    j.end_array();
-    j.begin_array("optimal_width_x");
-    for (std::size_t li = 0; li < lengths.size(); ++li) {
-      j.object_in_array();
-      j.field("length", lengths[li]);
-      j.field("width_x", best_w[li]);
-      j.end_object();
-    }
-    j.end_array();
-    j.end_object();
-    j.finish();
+    util::Json doc = util::Json::make_object();
+    doc.set("bench", name);
+    doc.set("points", std::move(points));
+    doc.set("optimal_width_x", std::move(optimal));
+    std::printf("%s\n", doc.dump().c_str());
     return;
   }
 

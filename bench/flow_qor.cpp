@@ -18,12 +18,20 @@
 #include "flow/jobspec.hpp"
 #include "flow/session.hpp"
 #include "netlist/blif.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace amdrel;
   const bench::BenchArgs args = bench::parse_bench_args(argc, argv);
+  if (args.spec.until != flow::Stage::kBitgen) {
+    std::fprintf(stderr,
+                 "usage: %s [--json] ...: only --until bitgen (the table "
+                 "reads every stage)\n",
+                 argv[0]);
+    return 2;
+  }
   auto trace_guard = bench::install_trace(args);
   bench::ScopedMetricsFile metrics_guard(args);
 
@@ -33,12 +41,7 @@ int main(int argc, char** argv) {
 
   Table table({"circuit", "gates", "LUTs", "CLBs", "W", "wires", "bits",
                "crit ns", "mW", "runtime s", "verified", "formal"});
-  bench::JsonWriter w;
-  if (args.json) {
-    w.begin_object();
-    w.field("bench", "flow_qor");
-    w.begin_array("circuits");
-  }
+  util::Json circuits = util::Json::make_array();
 
   int failures = 0;
   // A compact subset of the suite (the full suite runs in mcnc_flow).
@@ -70,27 +73,28 @@ int main(int argc, char** argv) {
       // place and route (power and bitgen add none).
       const bool formally_verified = formal_checks == 5;
       if (args.json) {
-        w.object_in_array();
-        w.field("name", spec.name);
-        w.field("gates", static_cast<int>(net.gates().size()));
-        w.field("luts", r.map_stats.luts);
-        w.field("clbs", static_cast<int>(r.packed->clusters().size()));
-        w.field("channel_width", r.channel_width);
-        w.field("wires", r.routing.total_wire_nodes);
-        w.field("config_bits", static_cast<double>(r.bitstream.config_bits()));
-        w.field("critical_path_ns", r.timing.critical_path_s * 1e9);
-        w.field("power_mw", r.power.total_w * 1e3);
-        w.field("runtime_s", secs);
+        util::Json c = util::Json::make_object();
+        c.set("name", spec.name);
+        c.set("gates", static_cast<int>(net.gates().size()));
+        c.set("luts", r.map_stats.luts);
+        c.set("clbs", static_cast<int>(r.packed->clusters().size()));
+        c.set("channel_width", r.channel_width);
+        c.set("wires", r.routing.total_wire_nodes);
+        c.set("config_bits",
+              static_cast<std::int64_t>(r.bitstream.config_bits()));
+        c.set("critical_path_ns", r.timing.critical_path_s * 1e9);
+        c.set("power_mw", r.power.total_w * 1e3);
+        c.set("runtime_s", secs);
         for (int s = 0; s < flow::kNumStages; ++s) {
           const auto stage = static_cast<flow::Stage>(s);
           const std::string key = std::string(flow::stage_name(stage)) + "_s";
-          w.field(key.c_str(), r.metrics(stage).wall_s);
+          c.set(key, r.metrics(stage).wall_s);
         }
-        w.field("peak_rss_kb",
-                static_cast<double>(r.metrics(flow::Stage::kBitgen).peak_rss_kb));
-        w.field("verified", true);
-        w.field("formally_verified", formally_verified);
-        w.end_object();
+        c.set("peak_rss_kb", static_cast<std::int64_t>(
+                                 r.metrics(flow::Stage::kBitgen).peak_rss_kb));
+        c.set("verified", true);
+        c.set("formally_verified", formally_verified);
+        circuits.push_back(std::move(c));
       } else {
         table.add_row(
             {spec.name, std::to_string(static_cast<int>(net.gates().size())),
@@ -108,12 +112,12 @@ int main(int argc, char** argv) {
     } catch (const std::exception& e) {
       ++failures;
       if (args.json) {
-        w.object_in_array();
-        w.field("name", spec.name);
-        w.field("verified", false);
-        w.field("formally_verified", false);
-        w.field("error", e.what());
-        w.end_object();
+        util::Json c = util::Json::make_object();
+        c.set("name", spec.name);
+        c.set("verified", false);
+        c.set("formally_verified", false);
+        c.set("error", e.what());
+        circuits.push_back(std::move(c));
       } else {
         std::printf("  %-12s FAILED: %s\n", spec.name.c_str(), e.what());
       }
@@ -121,10 +125,11 @@ int main(int argc, char** argv) {
   }
 
   if (args.json) {
-    w.end_array();
-    w.field("failures", failures);
-    w.end_object();
-    w.finish();
+    util::Json doc = util::Json::make_object();
+    doc.set("bench", "flow_qor");
+    doc.set("circuits", std::move(circuits));
+    doc.set("failures", failures);
+    std::printf("%s\n", doc.dump().c_str());
     return failures == 0 ? 0 : 1;
   }
 

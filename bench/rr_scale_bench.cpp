@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -33,6 +34,7 @@
 #include "route/pathfinder.hpp"
 #include "route/rr_graph.hpp"
 #include "synth/lutmap.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -302,58 +304,57 @@ int main(int argc, char** argv) {
   const long peak_rss = obs::peak_rss_kb();
 
   if (args.json) {
-    bench::JsonWriter w;
-    w.begin_object();
-    w.field("bench", "rr_scale");
-    w.field("reps", reps);
-    w.begin_array("circuits");
+    util::Json circuits = util::Json::make_array();
     for (const TierResult& t : tiers) {
-      w.object_in_array();
-      w.field("name", t.name);
-      w.field("blocks", t.blocks);
-      w.field("channel_width", t.min_w);
-      w.field("wires", t.wires);
-      w.field("widths_match", t.match());
-      w.field("rr_nodes", t.rr_nodes);
-      w.field("rr_edges", static_cast<double>(t.rr_edges));
-      w.field("patterns", t.patterns);
-      w.field("dedup_build_s", t.dedup_build_s);
-      w.field("dense_build_s", t.dense_build_s);
-      w.field("build_speedup", t.build_speedup());
-      w.field("dedup_bytes", static_cast<double>(t.dedup_bytes));
-      w.field("dense_bytes", static_cast<double>(t.dense_bytes));
-      w.field("mem_ratio", t.mem_ratio());
-      w.end_object();
+      util::Json c = util::Json::make_object();
+      c.set("name", t.name);
+      c.set("blocks", t.blocks);
+      c.set("channel_width", t.min_w);
+      c.set("wires", t.wires);
+      c.set("widths_match", t.match());
+      c.set("rr_nodes", t.rr_nodes);
+      c.set("rr_edges", static_cast<std::int64_t>(t.rr_edges));
+      c.set("patterns", t.patterns);
+      c.set("dedup_build_s", t.dedup_build_s);
+      c.set("dense_build_s", t.dense_build_s);
+      c.set("build_speedup", t.build_speedup());
+      c.set("dedup_bytes", static_cast<std::int64_t>(t.dedup_bytes));
+      c.set("dense_bytes", static_cast<std::int64_t>(t.dense_bytes));
+      c.set("mem_ratio", t.mem_ratio());
+      circuits.push_back(std::move(c));
     }
     if (run_the_giant) {
-      w.object_in_array();
-      w.field("name", "giant_100k");
-      w.field("gates", giant.gates);
-      w.field("luts", giant.luts);
-      w.field("clusters", giant.clusters);
-      w.field("nx", giant.nx);
-      w.field("ny", giant.ny);
-      w.field("channel_width", giant.width);
-      w.field("wires", giant.wires);
-      w.field("rr_nodes", giant.rr_nodes);
-      w.field("rr_edges", static_cast<double>(giant.rr_edges));
-      w.field("patterns", giant.patterns);
-      w.field("rr_bytes", static_cast<double>(giant.rr_bytes));
-      w.field("rr_build_s", giant.rr_build_s);
-      w.field("place_s", giant.place_s);
-      w.field("route_s", giant.route_s);
-      w.field("route_iters", giant.route_iters);
-      w.field("bitgen_s", giant.bitgen_s);
-      w.field("bitstream_bytes", static_cast<double>(giant.bitstream_bytes));
-      w.field("bitstream_hash", giant.hash);
-      w.field("peak_rss_kb", static_cast<double>(peak_rss));
-      w.end_object();
+      util::Json c = util::Json::make_object();
+      c.set("name", "giant_100k");
+      c.set("gates", giant.gates);
+      c.set("luts", giant.luts);
+      c.set("clusters", giant.clusters);
+      c.set("nx", giant.nx);
+      c.set("ny", giant.ny);
+      c.set("channel_width", giant.width);
+      c.set("wires", giant.wires);
+      c.set("rr_nodes", giant.rr_nodes);
+      c.set("rr_edges", static_cast<std::int64_t>(giant.rr_edges));
+      c.set("patterns", giant.patterns);
+      c.set("rr_bytes", static_cast<std::int64_t>(giant.rr_bytes));
+      c.set("rr_build_s", giant.rr_build_s);
+      c.set("place_s", giant.place_s);
+      c.set("route_s", giant.route_s);
+      c.set("route_iters", giant.route_iters);
+      c.set("bitgen_s", giant.bitgen_s);
+      c.set("bitstream_bytes",
+            static_cast<std::int64_t>(giant.bitstream_bytes));
+      c.set("bitstream_hash", giant.hash);
+      c.set("peak_rss_kb", static_cast<std::int64_t>(peak_rss));
+      circuits.push_back(std::move(c));
     }
-    w.end_array();
-    w.field("widths_match", all_match);
-    w.field("peak_rss_kb", static_cast<double>(peak_rss));
-    w.end_object();
-    w.finish();
+    util::Json doc = util::Json::make_object();
+    doc.set("bench", "rr_scale");
+    doc.set("reps", reps);
+    doc.set("circuits", std::move(circuits));
+    doc.set("widths_match", all_match);
+    doc.set("peak_rss_kb", static_cast<std::int64_t>(peak_rss));
+    std::printf("%s\n", doc.dump().c_str());
     return all_match ? 0 : 1;
   }
 

@@ -10,6 +10,7 @@
 
 #include "bench_common.hpp"
 #include "cells/characterize.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -33,25 +34,23 @@ int main(int argc, char** argv) {
   }
 
   if (args.json) {
-    bench::JsonWriter j;
-    j.begin_object();
-    j.field("bench", "table1_detff");
-    j.begin_array("cells");
+    util::Json cells = util::Json::make_array();
     for (const auto& m : rows) {
-      j.object_in_array();
-      j.field("cell", detff_name(m.kind));
-      j.field("energy_fj", m.energy_j * 1e15);
-      j.field("delay_ps", m.delay_s * 1e12);
-      j.field("edp_fj_ps", m.edp * 1e27);
-      j.field("transistors", m.transistors);
-      j.field("functional", m.functional);
-      j.end_object();
+      util::Json c = util::Json::make_object();
+      c.set("cell", detff_name(m.kind));
+      c.set("energy_fj", m.energy_j * 1e15);
+      c.set("delay_ps", m.delay_s * 1e12);
+      c.set("edp_fj_ps", m.edp * 1e27);
+      c.set("transistors", m.transistors);
+      c.set("functional", m.functional);
+      cells.push_back(std::move(c));
     }
-    j.end_array();
-    j.field("lowest_energy", detff_name(best_e->kind));
-    j.field("lowest_edp", detff_name(best_edp->kind));
-    j.end_object();
-    j.finish();
+    util::Json doc = util::Json::make_object();
+    doc.set("bench", "table1_detff");
+    doc.set("cells", std::move(cells));
+    doc.set("lowest_energy", detff_name(best_e->kind));
+    doc.set("lowest_edp", detff_name(best_edp->kind));
+    std::printf("%s\n", doc.dump().c_str());
     return 0;
   }
 

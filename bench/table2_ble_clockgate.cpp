@@ -10,6 +10,7 @@
 
 #include "bench_common.hpp"
 #include "cells/characterize.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -28,16 +29,14 @@ int main(int argc, char** argv) {
   const double d_dis = 100.0 * (e.gated_disabled_j / e.single_clock_j - 1.0);
 
   if (args.json) {
-    bench::JsonWriter j;
-    j.begin_object();
-    j.field("bench", "table2_ble_clockgate");
-    j.field("single_clock_fj", e.single_clock_j * 1e15);
-    j.field("gated_enabled_fj", e.gated_enabled_j * 1e15);
-    j.field("gated_disabled_fj", e.gated_disabled_j * 1e15);
-    j.field("enabled_delta_pct", d_en);
-    j.field("disabled_delta_pct", d_dis);
-    j.end_object();
-    j.finish();
+    util::Json doc = util::Json::make_object();
+    doc.set("bench", "table2_ble_clockgate");
+    doc.set("single_clock_fj", e.single_clock_j * 1e15);
+    doc.set("gated_enabled_fj", e.gated_enabled_j * 1e15);
+    doc.set("gated_disabled_fj", e.gated_disabled_j * 1e15);
+    doc.set("enabled_delta_pct", d_en);
+    doc.set("disabled_delta_pct", d_dis);
+    std::printf("%s\n", doc.dump().c_str());
     return 0;
   }
 

@@ -11,6 +11,7 @@
 
 #include "bench_common.hpp"
 #include "cells/characterize.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -37,23 +38,20 @@ int main(int argc, char** argv) {
   const double p = cost_on / (cost_on - save_off);
 
   if (args.json) {
-    bench::JsonWriter j;
-    j.begin_object();
-    j.field("bench", "table3_clb_clockgate");
-    j.begin_array("conditions");
+    util::Json conditions = util::Json::make_array();
     for (const auto& r : rows) {
-      j.object_in_array();
-      j.field("n_ffs_on", r.n_ffs_on);
-      j.field("single_clock_fj", r.single_clock_j * 1e15);
-      j.field("gated_clock_fj", r.gated_clock_j * 1e15);
-      j.field("delta_pct",
-              100.0 * (r.gated_clock_j / r.single_clock_j - 1.0));
-      j.end_object();
+      util::Json c = util::Json::make_object();
+      c.set("n_ffs_on", r.n_ffs_on);
+      c.set("single_clock_fj", r.single_clock_j * 1e15);
+      c.set("gated_clock_fj", r.gated_clock_j * 1e15);
+      c.set("delta_pct", 100.0 * (r.gated_clock_j / r.single_clock_j - 1.0));
+      conditions.push_back(std::move(c));
     }
-    j.end_array();
-    j.field("break_even_p_idle", p);
-    j.end_object();
-    j.finish();
+    util::Json doc = util::Json::make_object();
+    doc.set("bench", "table3_clb_clockgate");
+    doc.set("conditions", std::move(conditions));
+    doc.set("break_even_p_idle", p);
+    std::printf("%s\n", doc.dump().c_str());
     return 0;
   }
 

@@ -10,6 +10,7 @@
 
 #include "bench_common.hpp"
 #include "cells/routing_expt.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -51,26 +52,24 @@ int main(int argc, char** argv) {
   const RoutingExptResult& rp = res[n_sweep];
 
   if (args.json) {
-    bench::JsonWriter j;
-    j.begin_object();
-    j.field("bench", "tristate_buffer_sizing");
-    j.begin_array("points");
+    util::Json points = util::Json::make_array();
     for (std::size_t i = 0; i < n_sweep; ++i) {
-      j.object_in_array();
-      j.field("length", lengths[i / widths.size()]);
-      j.field("width_x", widths[i % widths.size()]);
-      j.field("delay_ps", res[i].delay_s * 1e12);
-      j.field("energy_fj", res[i].energy_j * 1e15);
-      j.field("area_um2", res[i].area_um2);
-      j.field("eda_norm", res[i].eda / base);
-      j.end_object();
+      util::Json pt = util::Json::make_object();
+      pt.set("length", lengths[i / widths.size()]);
+      pt.set("width_x", widths[i % widths.size()]);
+      pt.set("delay_ps", res[i].delay_s * 1e12);
+      pt.set("energy_fj", res[i].energy_j * 1e15);
+      pt.set("area_um2", res[i].area_um2);
+      pt.set("eda_norm", res[i].eda / base);
+      points.push_back(std::move(pt));
     }
-    j.end_array();
-    j.field("pass_transistor_delay_ps", rp.delay_s * 1e12);
-    j.field("pass_transistor_energy_fj", rp.energy_j * 1e15);
-    j.field("pass_transistor_area_um2", rp.area_um2);
-    j.end_object();
-    j.finish();
+    util::Json doc = util::Json::make_object();
+    doc.set("bench", "tristate_buffer_sizing");
+    doc.set("points", std::move(points));
+    doc.set("pass_transistor_delay_ps", rp.delay_s * 1e12);
+    doc.set("pass_transistor_energy_fj", rp.energy_j * 1e15);
+    doc.set("pass_transistor_area_um2", rp.area_um2);
+    std::printf("%s\n", doc.dump().c_str());
     return 0;
   }
 

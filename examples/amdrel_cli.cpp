@@ -82,6 +82,7 @@
 #include "pack/pack.hpp"
 #include "synth/lutmap.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 #include "verify/equiv.hpp"
 #include "vhdl/synth.hpp"
@@ -245,9 +246,8 @@ int main(int argc, char** argv) {
         lint::EquivCheckOptions options;
         lint::check_equivalence_pair(net, net_b, options, &report);
       }
-      std::printf("%s", json ? report.to_json().c_str()
-                             : report.to_text().c_str());
-      if (json) std::printf("\n");
+      std::printf("%s", (json ? report.to_json().dump() + "\n"
+                              : report.to_text()).c_str());
       return report.has_errors() ? 1 : 0;
     }
     if (cmd == "verify") {
@@ -281,10 +281,9 @@ int main(int argc, char** argv) {
       report.set_stage("equiv");
       const verify::EquivResult result =
           lint::check_equivalence_pair(net_a, net_b, options, &report);
-      std::printf("%s", json ? result.to_json().c_str()
-                             : result.to_text().c_str());
-      if (json) std::printf("\n");
-      else if (!report.empty()) std::printf("%s", report.to_text().c_str());
+      std::printf("%s", (json ? result.to_json().dump() + "\n"
+                              : result.to_text()).c_str());
+      if (!json && !report.empty()) std::printf("%s", report.to_text().c_str());
       switch (result.status) {
         case verify::EquivStatus::kEquivalent: return 0;
         case verify::EquivStatus::kNotEquivalent: return 1;
@@ -365,21 +364,25 @@ int main(int argc, char** argv) {
       const double eco_s = std::chrono::duration<double>(t2 - t1).count();
       const double speedup = eco_s > 0.0 ? base_s / eco_s : 0.0;
       if (json) {
-        std::printf(
-            "{\"cmd\": \"eco\", \"base\": \"%s\", \"edited\": \"%s\", "
-            "\"base_s\": %.6f, \"eco_s\": %.6f, \"speedup\": %.2f, "
-            "\"dirty_pct\": %.4f, \"reuse_ratio\": %.4f, "
-            "\"incremental_map\": %s, \"luts_reused\": %d, "
-            "\"clusters_reused\": %d, \"blocks_matched\": %d, "
-            "\"nets_seeded\": %d, \"nets_rerouted\": %d, "
-            "\"channel_width\": %d, \"fallbacks\": %d, "
-            "\"verified\": %s}\n",
-            argv[2], argv[3], base_s, eco_s, speedup,
-            stats.entry_diff.dirty_pct(), stats.reuse_ratio(),
-            stats.incremental_map ? "true" : "false", stats.luts_reused,
-            stats.clusters_reused, stats.blocks_matched, stats.nets_seeded,
-            stats.nets_rerouted, stats.channel_width, stats.fallbacks,
-            eq.equivalent() ? "true" : "false");
+        util::Json out = util::Json::make_object();
+        out.set("cmd", "eco");
+        out.set("base", argv[2]);
+        out.set("edited", argv[3]);
+        out.set("base_s", base_s);
+        out.set("eco_s", eco_s);
+        out.set("speedup", speedup);
+        out.set("dirty_pct", stats.entry_diff.dirty_pct());
+        out.set("reuse_ratio", stats.reuse_ratio());
+        out.set("incremental_map", stats.incremental_map);
+        out.set("luts_reused", stats.luts_reused);
+        out.set("clusters_reused", stats.clusters_reused);
+        out.set("blocks_matched", stats.blocks_matched);
+        out.set("nets_seeded", stats.nets_seeded);
+        out.set("nets_rerouted", stats.nets_rerouted);
+        out.set("channel_width", stats.channel_width);
+        out.set("fallbacks", stats.fallbacks);
+        out.set("verified", eq.equivalent());
+        std::printf("%s\n", out.dump().c_str());
       } else {
         std::printf("base compile   %.3fs (W=%d)\n", base_s,
                     stats.channel_width);
@@ -421,9 +424,8 @@ int main(int argc, char** argv) {
         all << in.rdbuf();
       }
       obs::TraceReport report = obs::analyze_trace(all);
-      std::printf("%s", json ? report.to_json().c_str()
-                             : report.to_text().c_str());
-      if (json) std::printf("\n");
+      std::printf("%s", (json ? report.to_json().dump() + "\n"
+                              : report.to_text()).c_str());
       return 0;
     }
     if (cmd == "pnr" || cmd == "power" || cmd == "dagger") {

@@ -11,24 +11,40 @@ namespace amdrel::flow {
 
 std::string FlowResult::report() const {
   std::ostringstream os;
+  // One line per stage that ran: after run_until(kSynth) the later
+  // artifacts (mapped, packed, ...) do not exist yet.
   os << "=== AMDREL design flow report ===\n";
-  os << "[2] synthesis   : " << synthesized.stats() << "\n";
-  os << "[3] mapping     : " << mapped->stats() << " — " << map_stats.luts
-     << " LUTs, depth " << map_stats.depth << "\n";
-  if (packed) os << "[5a] packing    : " << packed->stats() << "\n";
-  if (placement) {
+  if (metrics(Stage::kSynth).ran) {
+    os << "[2] synthesis   : " << synthesized.stats() << "\n";
+  }
+  if (metrics(Stage::kMap).ran) {
+    os << "[3] mapping     : " << mapped->stats() << " — " << map_stats.luts
+       << " LUTs, depth " << map_stats.depth << "\n";
+  }
+  if (metrics(Stage::kPack).ran) {
+    os << "[5a] packing    : " << packed->stats() << "\n";
+  }
+  if (metrics(Stage::kPlace).ran) {
     os << strprintf("[5b] placement  : %dx%d grid, cost %.1f → %.1f\n",
                     placement->nx(), placement->ny(),
                     place_stats.initial_cost, place_stats.final_cost);
   }
-  os << strprintf("[5c] routing    : W=%d, %d iterations, %d wire segments\n",
-                  channel_width, routing.iterations,
-                  routing.total_wire_nodes);
-  os << "[4] power       : " << power.summary() << "\n";
-  os << strprintf("    timing      : critical path %.2f ns (fmax %.1f MHz)\n",
-                  timing.critical_path_s * 1e9, timing.fmax_hz / 1e6);
-  os << strprintf("[6] bitstream   : %lld config bits (%zu bytes serialized)\n",
-                  bitstream.config_bits(), bitstream_bytes.size());
+  if (metrics(Stage::kRoute).ran) {
+    os << strprintf(
+        "[5c] routing    : W=%d, %d iterations, %d wire segments\n",
+        channel_width, routing.iterations, routing.total_wire_nodes);
+  }
+  if (metrics(Stage::kPower).ran) {
+    os << "[4] power       : " << power.summary() << "\n";
+    os << strprintf(
+        "    timing      : critical path %.2f ns (fmax %.1f MHz)\n",
+        timing.critical_path_s * 1e9, timing.fmax_hz / 1e6);
+  }
+  if (metrics(Stage::kBitgen).ran) {
+    os << strprintf(
+        "[6] bitstream   : %lld config bits (%zu bytes serialized)\n",
+        bitstream.config_bits(), bitstream_bytes.size());
+  }
   std::string stages;
   long peak_kb = 0;
   for (int s = 0; s < kNumStages; ++s) {

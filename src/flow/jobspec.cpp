@@ -47,12 +47,6 @@ int checked_int(const util::Json& v, const char* what) {
   return static_cast<int>(i);
 }
 
-std::uint64_t checked_u64(const util::Json& v, const char* what) {
-  const std::int64_t i = v.as_int();
-  if (i < 0) throw Error(std::string(what) + ": must be non-negative");
-  return static_cast<std::uint64_t>(i);
-}
-
 bench_gen::BenchSpec bench_from_json(const util::Json& json) {
   bench_gen::BenchSpec spec;
   for (const std::string& key : json.keys()) {
@@ -64,7 +58,7 @@ bench_gen::BenchSpec bench_from_json(const util::Json& json) {
     else if (key == "outputs") spec.n_outputs = checked_int(v, "bench.outputs");
     else if (key == "locality") spec.locality = v.as_number();
     else if (key == "window") spec.window = checked_int(v, "bench.window");
-    else if (key == "seed") spec.seed = checked_u64(v, "bench.seed");
+    else if (key == "seed") spec.seed = v.as_u64();
     else throw Error("job spec: unknown bench key '" + key + "'");
   }
   return spec;
@@ -86,9 +80,9 @@ util::Json bench_to_json(const bench_gen::BenchSpec& spec) {
 void options_from_json(const util::Json& json, FlowOptions* options) {
   for (const std::string& key : json.keys()) {
     const util::Json& v = json.at(key);
-    if (key == "seed") options->seed = checked_u64(v, "options.seed");
+    if (key == "seed") options->seed = v.as_u64();
     else if (key == "verify") options->verify_mode = parse_verify_mode(v.as_string());
-    else if (key == "verify_seed") options->verify_seed = checked_u64(v, "options.verify_seed");
+    else if (key == "verify_seed") options->verify_seed = v.as_u64();
     else if (key == "verify_time_limit_s") options->verify_time_limit_s = v.as_number();
     else if (key == "check_invariants") options->check_invariants = v.as_bool();
     else if (key == "search_min_channel_width") options->search_min_channel_width = v.as_bool();

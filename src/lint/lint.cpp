@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "util/error.hpp"
-#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace amdrel::lint {
@@ -162,26 +161,25 @@ std::string Report::to_text() const {
   return os.str();
 }
 
-std::string Report::to_json() const {
-  std::ostringstream os;
-  os << "{\"diagnostics\":[";
-  for (std::size_t i = 0; i < diags_.size(); ++i) {
-    const Diagnostic& d = diags_[i];
-    if (i) os << ",";
-    os << "{\"rule\":";
-    os << '"' << util::json_escape_string(d.rule) << '"';
-    os << ",\"severity\":\"" << severity_name(d.severity) << "\",\"object\":";
-    os << '"' << util::json_escape_string(d.object) << '"';
-    os << ",\"message\":";
-    os << '"' << util::json_escape_string(d.message) << '"';
-    os << ",\"stage\":";
-    os << '"' << util::json_escape_string(d.stage) << '"';
-    os << "}";
+util::Json Report::to_json() const {
+  util::Json diags = util::Json::make_array();
+  for (const Diagnostic& d : diags_) {
+    util::Json j = util::Json::make_object();
+    j.set("rule", d.rule);
+    j.set("severity", severity_name(d.severity));
+    j.set("object", d.object);
+    j.set("message", d.message);
+    j.set("stage", d.stage);
+    diags.push_back(std::move(j));
   }
-  os << "],\"counts\":{\"error\":" << count(Severity::kError)
-     << ",\"warning\":" << count(Severity::kWarning)
-     << ",\"info\":" << count(Severity::kInfo) << "}}";
-  return os.str();
+  util::Json counts = util::Json::make_object();
+  counts.set("error", count(Severity::kError));
+  counts.set("warning", count(Severity::kWarning));
+  counts.set("info", count(Severity::kInfo));
+  util::Json out = util::Json::make_object();
+  out.set("diagnostics", std::move(diags));
+  out.set("counts", std::move(counts));
+  return out;
 }
 
 }  // namespace amdrel::lint

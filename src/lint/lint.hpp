@@ -14,6 +14,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/json.hpp"
+
 namespace amdrel::lint {
 
 enum class Severity { kInfo, kWarning, kError };
@@ -113,7 +115,7 @@ class Report {
   /// Human-readable report: one line per diagnostic plus a summary line.
   std::string to_text() const;
   /// Machine-readable report: {"diagnostics":[...],"counts":{...}}.
-  std::string to_json() const;
+  util::Json to_json() const;
 
  private:
   std::string stage_;

@@ -248,29 +248,26 @@ std::uint64_t MetricsSnapshot::counter(const std::string& name) const {
   return 0;
 }
 
-std::string MetricsSnapshot::to_json() const {
-  std::string out = "{\"counters\":{";
-  for (std::size_t i = 0; i < counters.size(); ++i) {
-    out += strprintf("%s\"%s\":%llu", i > 0 ? "," : "",
-                     counters[i].name.c_str(),
-                     static_cast<unsigned long long>(counters[i].value));
+util::Json MetricsSnapshot::to_json() const {
+  util::Json c = util::Json::make_object();
+  for (const CounterValue& v : counters) c.set(v.name, v.value);
+  util::Json g = util::Json::make_object();
+  for (const GaugeValue& v : gauges) g.set(v.name, v.value);
+  util::Json h = util::Json::make_object();
+  for (const HistogramValue& v : histograms) {
+    util::Json summary = util::Json::make_object();
+    summary.set("count", v.count);
+    summary.set("sum", v.sum);
+    summary.set("min", v.min);
+    summary.set("max", v.max);
+    summary.set("p50", v.p50);
+    summary.set("p95", v.p95);
+    h.set(v.name, std::move(summary));
   }
-  out += "},\"gauges\":{";
-  for (std::size_t i = 0; i < gauges.size(); ++i) {
-    out += strprintf("%s\"%s\":%.9g", i > 0 ? "," : "",
-                     gauges[i].name.c_str(), gauges[i].value);
-  }
-  out += "},\"histograms\":{";
-  for (std::size_t i = 0; i < histograms.size(); ++i) {
-    const auto& h = histograms[i];
-    out += strprintf(
-        "%s\"%s\":{\"count\":%llu,\"sum\":%.9g,\"min\":%.9g,\"max\":%.9g,"
-        "\"p50\":%.9g,\"p95\":%.9g}",
-        i > 0 ? "," : "", h.name.c_str(),
-        static_cast<unsigned long long>(h.count), h.sum, h.min, h.max, h.p50,
-        h.p95);
-  }
-  out += "}}";
+  util::Json out = util::Json::make_object();
+  out.set("counters", std::move(c));
+  out.set("gauges", std::move(g));
+  out.set("histograms", std::move(h));
   return out;
 }
 
@@ -324,9 +321,8 @@ void reset_metrics() { detail::Registry::instance().reset(); }
 void write_metrics_file(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) throw Error("cannot open metrics file: " + path);
-  const std::string json = snapshot_metrics().to_json();
+  const std::string json = snapshot_metrics().to_json().dump() + "\n";
   std::fwrite(json.data(), 1, json.size(), f);
-  std::fputc('\n', f);
   std::fclose(f);
 }
 

@@ -35,6 +35,8 @@
 #include <string>
 #include <vector>
 
+#include "util/json.hpp"
+
 namespace amdrel::obs {
 
 namespace detail {
@@ -164,7 +166,7 @@ struct MetricsSnapshot {
   ///    "gauges":{"route.channel_width":12,...},
   ///    "histograms":{"spice.step_s":{"count":9,"sum":...,"min":...,
   ///                                  "max":...,"p50":...,"p95":...}}}
-  std::string to_json() const;
+  util::Json to_json() const;
 
   /// Prometheus text exposition (version 0.0.4): counters and gauges as
   /// their native types, histograms as summaries (p50/p95 quantile
@@ -184,7 +186,7 @@ MetricsSnapshot snapshot_metrics();
 /// may resurrect pre-reset values.
 void reset_metrics();
 
-/// Writes snapshot_metrics().to_json() plus a trailing newline to `path`.
+/// Writes snapshot_metrics().to_json().dump() plus a newline to `path`.
 /// Throws amdrel::Error when the file cannot be written.
 void write_metrics_file(const std::string& path);
 

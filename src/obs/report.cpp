@@ -6,7 +6,6 @@
 #include <fstream>
 #include <istream>
 #include <set>
-#include <sstream>
 
 #include "util/error.hpp"
 #include "util/json.hpp"
@@ -15,61 +14,6 @@
 namespace amdrel::obs {
 
 namespace {
-
-/// Cursor over one JSONL line. The trace schema is flat — string and
-/// number values plus one optional single-level "metrics" object — so
-/// this stays a few screens instead of a JSON library.
-class LineCursor {
- public:
-  explicit LineCursor(const std::string& s) : s_(s) {}
-
-  bool lit(char c) {
-    skip_ws();
-    if (i_ >= s_.size() || s_[i_] != c) return false;
-    ++i_;
-    return true;
-  }
-
-  bool string(std::string* out) {
-    skip_ws();
-    if (i_ >= s_.size() || s_[i_] != '"') return false;
-    ++i_;
-    out->clear();
-    while (i_ < s_.size() && s_[i_] != '"') {
-      if (s_[i_] == '\\' && i_ + 1 < s_.size()) ++i_;  // keep escaped char
-      out->push_back(s_[i_++]);
-    }
-    if (i_ >= s_.size()) return false;
-    ++i_;  // closing quote
-    return true;
-  }
-
-  bool number(double* out) {
-    skip_ws();
-    const char* start = s_.c_str() + i_;
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start) return false;
-    i_ += static_cast<std::size_t>(end - start);
-    *out = v;
-    return true;
-  }
-
-  bool at_end() {
-    skip_ws();
-    return i_ >= s_.size();
-  }
-
- private:
-  void skip_ws() {
-    while (i_ < s_.size() &&
-           (s_[i_] == ' ' || s_[i_] == '\t' || s_[i_] == '\r')) {
-      ++i_;
-    }
-  }
-  const std::string& s_;
-  std::size_t i_ = 0;
-};
 
 /// Exact quantile over a sorted sample (nearest-rank).
 double quantile(const std::vector<double>& sorted, double q) {
@@ -139,66 +83,49 @@ void walk_span(const SpanNode& node, std::map<std::string, AggBuild>* aggs,
 }  // namespace
 
 bool parse_trace_line(const std::string& line, TraceEvent* out) {
-  LineCursor c(line);
-  if (!c.lit('{')) return false;
   *out = TraceEvent{};
   bool have_type = false;
-  bool first = true;
-  while (true) {
-    if (c.lit('}')) break;
-    if (!first && !c.lit(',')) return false;
-    first = false;
-    std::string key;
-    if (!c.string(&key) || !c.lit(':')) return false;
-    if (key == "type") {
-      std::string type;
-      if (!c.string(&type)) return false;
-      if (type == "begin") {
-        out->kind = TraceEvent::Kind::kBegin;
-      } else if (type == "span") {
-        out->kind = TraceEvent::Kind::kEnd;
-      } else if (type == "point") {
-        out->kind = TraceEvent::Kind::kPoint;
-      } else {
-        return false;
-      }
-      have_type = true;
-    } else if (key == "name") {
-      if (!c.string(&out->name)) return false;
-    } else if (key == "t") {
-      if (!c.number(&out->t_s)) return false;
-    } else if (key == "dur") {
-      if (!c.number(&out->dur_s)) return false;
-    } else if (key == "id") {
-      double v = 0.0;
-      if (!c.number(&v) || v < 0) return false;
-      out->id = static_cast<std::uint64_t>(v);
-    } else if (key == "parent") {
-      double v = 0.0;
-      if (!c.number(&v) || v < 0) return false;
-      out->parent = static_cast<std::uint64_t>(v);
-    } else if (key == "trace") {
-      if (!c.string(&out->trace)) return false;
-    } else if (key == "metrics") {
-      if (!c.lit('{')) return false;
-      if (!c.lit('}')) {
-        while (true) {
-          std::string mkey;
-          double mval = 0.0;
-          if (!c.string(&mkey) || !c.lit(':') || !c.number(&mval)) {
-            return false;
-          }
-          out->metrics.emplace_back(std::move(mkey), mval);
-          if (c.lit(',')) continue;
-          if (c.lit('}')) break;
+  try {
+    const util::Json event = util::parse_json(line);
+    if (!event.is_object()) return false;
+    for (const std::string& key : event.keys()) {
+      const util::Json& v = event.at(key);
+      if (key == "type") {
+        const std::string& type = v.as_string();
+        if (type == "begin") {
+          out->kind = TraceEvent::Kind::kBegin;
+        } else if (type == "span") {
+          out->kind = TraceEvent::Kind::kEnd;
+        } else if (type == "point") {
+          out->kind = TraceEvent::Kind::kPoint;
+        } else {
           return false;
         }
+        have_type = true;
+      } else if (key == "name") {
+        out->name = v.as_string();
+      } else if (key == "t") {
+        out->t_s = v.as_number();
+      } else if (key == "dur") {
+        out->dur_s = v.as_number();
+      } else if (key == "id") {
+        out->id = v.as_u64();
+      } else if (key == "parent") {
+        out->parent = v.as_u64();
+      } else if (key == "trace") {
+        out->trace = v.as_string();
+      } else if (key == "metrics" && v.is_object()) {
+        for (const std::string& mkey : v.keys()) {
+          out->metrics.emplace_back(mkey, v.at(mkey).as_number());
+        }
+      } else {
+        return false;  // unknown key or non-object metrics: not a trace line
       }
-    } else {
-      return false;  // unknown key: not a trace line
     }
+  } catch (const Error&) {
+    return false;  // not JSON, or a field of the wrong type
   }
-  return have_type && !out->name.empty() && c.at_end();
+  return have_type && !out->name.empty();
 }
 
 TraceReport analyze_trace(std::istream& in) {
@@ -403,49 +330,49 @@ std::string TraceReport::to_text() const {
   return out;
 }
 
-std::string TraceReport::to_json() const {
-  std::string out = strprintf(
-      "{\"events\":%llu,\"skipped_lines\":%llu,\"unmatched_ends\":%llu,"
-      "\"traces\":%llu,\"trace_dur_s\":%.9g,\"names\":[",
-      static_cast<unsigned long long>(events),
-      static_cast<unsigned long long>(skipped_lines),
-      static_cast<unsigned long long>(unmatched_ends),
-      static_cast<unsigned long long>(traces), trace_dur_s);
-  for (std::size_t i = 0; i < aggregates.size(); ++i) {
-    const auto& a = aggregates[i];
-    out += strprintf(
-        "%s{\"name\":\"%s\",\"kind\":\"%s\",\"count\":%llu,"
-        "\"total_s\":%.9g,\"self_s\":%.9g,\"p50_s\":%.9g,\"p95_s\":%.9g,"
-        "\"metrics\":{",
-        i > 0 ? "," : "", util::json_escape_string(a.name).c_str(),
-        a.is_span ? "span" : "point",
-        static_cast<unsigned long long>(a.count), a.total_s, a.self_s,
-        a.p50_s, a.p95_s);
-    bool first = true;
-    for (const auto& [k, v] : a.metric_sums) {
-      out += strprintf("%s\"%s\":%.9g", first ? "" : ",",
-                       util::json_escape_string(k).c_str(), v);
-      first = false;
-    }
-    out += "}}";
+util::Json TraceReport::to_json() const {
+  util::Json out = util::Json::make_object();
+  out.set("events", events);
+  out.set("skipped_lines", skipped_lines);
+  out.set("unmatched_ends", unmatched_ends);
+  out.set("traces", traces);
+  out.set("trace_dur_s", trace_dur_s);
+  util::Json names = util::Json::make_array();
+  for (const NameAggregate& a : aggregates) {
+    util::Json name = util::Json::make_object();
+    name.set("name", a.name);
+    name.set("kind", a.is_span ? "span" : "point");
+    name.set("count", a.count);
+    name.set("total_s", a.total_s);
+    name.set("self_s", a.self_s);
+    name.set("p50_s", a.p50_s);
+    name.set("p95_s", a.p95_s);
+    util::Json metrics = util::Json::make_object();
+    for (const auto& [k, v] : a.metric_sums) metrics.set(k, v);
+    name.set("metrics", std::move(metrics));
+    names.push_back(std::move(name));
   }
-  out += strprintf(
-      "],\"flow_qor\":{\"flows\":%llu,\"total_wall_s\":%.9g,\"stages\":{",
-      static_cast<unsigned long long>(qor.flows), qor.total_wall_s);
-  bool first = true;
+  out.set("names", std::move(names));
+  util::Json flow = util::Json::make_object();
+  flow.set("flows", qor.flows);
+  flow.set("total_wall_s", qor.total_wall_s);
+  util::Json stages = util::Json::make_object();
   for (const auto& [stage, w] : qor.stages) {
-    out += strprintf("%s\"%s\":{\"runs\":%llu,\"wall_s\":%.9g}",
-                     first ? "" : ",", util::json_escape_string(stage).c_str(),
-                     static_cast<unsigned long long>(w.runs), w.wall_s);
-    first = false;
+    util::Json sw = util::Json::make_object();
+    sw.set("runs", w.runs);
+    sw.set("wall_s", w.wall_s);
+    stages.set(stage, std::move(sw));
   }
-  out += strprintf(
-      "},\"channel_width_max\":%.9g,\"wire_nodes\":%.9g,\"luts\":%.9g,"
-      "\"clbs\":%.9g,\"config_bits\":%.9g,\"bitstream_bytes\":%.9g,"
-      "\"critical_path_ns_max\":%.9g,\"power_mw\":%.9g}}",
-      qor.channel_width_max, qor.wire_nodes, qor.luts, qor.clbs,
-      qor.config_bits, qor.bitstream_bytes, qor.critical_path_ns_max,
-      qor.power_mw);
+  flow.set("stages", std::move(stages));
+  flow.set("channel_width_max", qor.channel_width_max);
+  flow.set("wire_nodes", qor.wire_nodes);
+  flow.set("luts", qor.luts);
+  flow.set("clbs", qor.clbs);
+  flow.set("config_bits", qor.config_bits);
+  flow.set("bitstream_bytes", qor.bitstream_bytes);
+  flow.set("critical_path_ns_max", qor.critical_path_ns_max);
+  flow.set("power_mw", qor.power_mw);
+  out.set("flow_qor", std::move(flow));
   return out;
 }
 

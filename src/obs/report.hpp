@@ -27,10 +27,13 @@
 // approximate in concurrent sections. Totals, counts and quantiles are
 // exact under either pairing.
 
+#include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
+
+#include "util/json.hpp"
 
 namespace amdrel::obs {
 
@@ -47,9 +50,12 @@ struct TraceEvent {
   std::vector<std::pair<std::string, double>> metrics;
 };
 
-/// Parses one JSONL trace line. Returns false (and leaves *out
-/// unspecified) for lines that are not valid trace events — callers skip
-/// those, so a trace truncated by a crash still analyzes.
+/// Parses one JSONL trace line with util::parse_json (string escapes
+/// such as \n are decoded). Returns false (and leaves *out unspecified)
+/// for lines that are not valid trace events — not one JSON object, an
+/// unknown key, a field of the wrong type, a bad "type", a negative or
+/// fractional id, or an empty name. Callers skip those, so a trace
+/// truncated by a crash still analyzes.
 bool parse_trace_line(const std::string& line, TraceEvent* out);
 
 /// A completed span with its nested children (tree order = trace order).
@@ -107,7 +113,7 @@ struct TraceReport {
   FlowQorSummary qor;
 
   std::string to_text() const;
-  std::string to_json() const;  ///< one JSON object (DESIGN.md §8)
+  util::Json to_json() const;  ///< one JSON object (DESIGN.md §8.3)
 };
 
 /// Analyzes a trace from a stream / a file on disk. The file variant

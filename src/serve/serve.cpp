@@ -30,6 +30,9 @@ using std::chrono::steady_clock;
 /// Cap on one request line — inline VHDL/BLIF text lives in the line.
 constexpr std::size_t kMaxLine = 16u << 20;
 
+/// Longest `result` wait a client may ask for (one day).
+constexpr double kMaxTimeoutS = 86400.0;
+
 /// Process-wide cache of elaborated architectures, keyed on the exact
 /// DUTYS text. Read_arch_string is deterministic, so every job with the
 /// same arch text shares one parsed copy instead of re-elaborating per
@@ -660,6 +663,12 @@ util::Json Server::cmd_result(const util::Json& req) {
   const util::Json* timeout = req.get("timeout_s");
   const double timeout_s =
       timeout != nullptr ? timeout->as_number() : 600.0;
+  // Bounded so the cast to clock ticks below cannot overflow.
+  if (!(timeout_s >= 0.0 && timeout_s <= kMaxTimeoutS)) {
+    return error_reply(strprintf("'timeout_s' must be in [0, %.0f]",
+                                 kMaxTimeoutS),
+                       "bad_request");
+  }
 
   std::unique_lock<std::mutex> lock(job->mu);
   if (wait != nullptr && wait->as_bool()) {
@@ -728,8 +737,8 @@ util::Json Server::cmd_metrics(const util::Json& req) const {
 
   util::Json reply = util::Json::make_object();
   reply.set("ok", true);
-  // The PR-5 registry snapshot, embedded as an object.
-  reply.set("metrics", util::parse_json(obs::snapshot_metrics().to_json()));
+  // The registry snapshot (DESIGN.md §8.2), embedded as an object.
+  reply.set("metrics", obs::snapshot_metrics().to_json());
 
   util::Json server = util::Json::make_object();
   server.set("queue_depth", queue_depth());

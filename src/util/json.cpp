@@ -1,9 +1,8 @@
 #include "util/json.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <limits>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -12,7 +11,48 @@ namespace amdrel::util {
 
 namespace {
 
-class Parser {
+// 2^63 and 2^64 as doubles: a double d converts to int64 without
+// overflow iff -2^63 <= d < 2^63, and to uint64 iff 0 <= d < 2^64.
+constexpr double kTwo63 = 9223372036854775808.0;
+constexpr double kTwo64 = 18446744073709551616.0;
+
+bool fits_int64(double v) { return v >= -kTwo63 && v < kTwo63; }
+
+bool is_integral(double v) { return std::isfinite(v) && std::trunc(v) == v; }
+
+std::string escape_string(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += strprintf("\\u%04x", c);
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out;
+}
+
+template <typename T>
+void append_chars(T v, std::string* out) {
+  char buf[32];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, r.ptr);
+}
+
+}  // namespace
+
+class Json::Parser {
  public:
   explicit Parser(const std::string& s) : s_(s) {}
 
@@ -201,7 +241,17 @@ class Parser {
     const double v = std::strtod(start, &end);
     if (end == start || !std::isfinite(v)) fail("invalid number");
     i_ += static_cast<std::size_t>(end - start);
+    // An integer literal that fits int64 or uint64 is kept exactly.
+    std::int64_t i = 0;
+    if (whole(std::from_chars(start, end, i), end)) return exact(i);
+    std::uint64_t u = 0;
+    if (whole(std::from_chars(start, end, u), end)) return exact(u);
     return Json::make_number(v);
+  }
+
+  /// True when `r` read an in-range integer ending exactly at `end`.
+  static bool whole(std::from_chars_result r, const char* end) {
+    return r.ec == std::errc() && r.ptr == end;
   }
 
   static constexpr int kMaxDepth = 64;
@@ -209,8 +259,6 @@ class Parser {
   std::size_t i_ = 0;
   int depth_ = 0;
 };
-
-}  // namespace
 
 Json Json::make_bool(bool b) {
   Json v;
@@ -250,6 +298,23 @@ bool Json::as_bool() const {
   return bool_;
 }
 
+Json Json::exact(std::int64_t v) {
+  Json j = make_number(static_cast<double>(v));
+  j.exact_ = Exact::kInt;
+  j.int_ = v;
+  return j;
+}
+
+Json Json::exact(std::uint64_t v) {
+  if (v <= static_cast<std::uint64_t>(INT64_MAX)) {
+    return exact(static_cast<std::int64_t>(v));
+  }
+  Json j = make_number(static_cast<double>(v));
+  j.exact_ = Exact::kUint;
+  j.uint_ = v;
+  return j;
+}
+
 double Json::as_number() const {
   if (type_ != Type::kNumber) throw Error("JSON: expected a number");
   return num_;
@@ -257,11 +322,23 @@ double Json::as_number() const {
 
 std::int64_t Json::as_int() const {
   const double v = as_number();
-  const auto i = static_cast<std::int64_t>(v);
-  if (static_cast<double>(i) != v) {
-    throw Error("JSON: expected an integer, got " + strprintf("%g", v));
+  if (exact_ == Exact::kInt) return int_;
+  if (exact_ == Exact::kNo && is_integral(v) && fits_int64(v)) {
+    return static_cast<std::int64_t>(v);
   }
-  return i;
+  throw Error("JSON: expected a 64-bit integer, got " + dump());
+}
+
+std::uint64_t Json::as_u64() const {
+  const double v = as_number();
+  if (exact_ == Exact::kUint) return uint_;
+  if (exact_ == Exact::kInt && int_ >= 0) {
+    return static_cast<std::uint64_t>(int_);
+  }
+  if (exact_ == Exact::kNo && is_integral(v) && v >= 0.0 && v < kTwo64) {
+    return static_cast<std::uint64_t>(v);
+  }
+  throw Error("JSON: expected a non-negative 64-bit integer, got " + dump());
 }
 
 const std::string& Json::as_string() const {
@@ -303,47 +380,28 @@ void Json::set(const std::string& key, Json v) {
   obj_[key] = std::move(v);
 }
 
-std::string json_escape_string(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += strprintf("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 void Json::dump_to(std::string* out) const {
   switch (type_) {
     case Type::kNull: *out += "null"; return;
     case Type::kBool: *out += bool_ ? "true" : "false"; return;
-    case Type::kNumber: {
-      // Integers (the common case: ids, counts, sizes) print exactly;
-      // other values with enough digits to round-trip a double.
-      const auto i = static_cast<std::int64_t>(num_);
-      if (static_cast<double>(i) == num_) {
-        *out += strprintf("%lld", static_cast<long long>(i));
+    case Type::kNumber:
+      // Integers (the common case: ids, counts, sizes, seeds) print
+      // exactly; other doubles in their shortest round-trip form.
+      if (exact_ == Exact::kInt) {
+        append_chars(int_, out);
+      } else if (exact_ == Exact::kUint) {
+        append_chars(uint_, out);
+      } else if (is_integral(num_) && fits_int64(num_)) {
+        append_chars(static_cast<std::int64_t>(num_), out);
+      } else if (std::isfinite(num_)) {
+        append_chars(num_, out);
       } else {
-        *out += strprintf("%.17g", num_);
+        *out += "null";  // JSON has no NaN or infinity
       }
       return;
-    }
     case Type::kString:
       *out += '"';
-      *out += json_escape_string(str_);
+      *out += escape_string(str_);
       *out += '"';
       return;
     case Type::kArray: {
@@ -360,7 +418,7 @@ void Json::dump_to(std::string* out) const {
       for (std::size_t i = 0; i < obj_keys_.size(); ++i) {
         if (i > 0) *out += ',';
         *out += '"';
-        *out += json_escape_string(obj_keys_[i]);
+        *out += escape_string(obj_keys_[i]);
         *out += "\":";
         obj_.at(obj_keys_[i]).dump_to(out);
       }
@@ -377,7 +435,7 @@ std::string Json::dump() const {
 }
 
 Json parse_json(const std::string& text) {
-  return Parser(text).parse_document();
+  return Json::Parser(text).parse_document();
 }
 
 }  // namespace amdrel::util

@@ -1,14 +1,21 @@
 #pragma once
-// Minimal JSON document model for the framework's machine interfaces
-// (flow::JobSpec and the amdrel_serve line protocol).
+// The framework's one JSON layer: every JSON document the code reads or
+// writes — JobSpecs, the amdrel_serve line protocol, trace lines in
+// obs/report, metrics snapshots, lint and verify reports, the bench
+// drivers' --json captures — goes through this value tree, so escaping,
+// number text and key order are decided here once and every output is
+// valid JSON by construction. The one exception is obs::JsonlSink, the
+// hot-path trace writer, which prints one event per fprintf (its names,
+// metric keys and trace ids are code literals or "job-N" tokens that
+// need no escaping).
 //
-// The JSONL trace analyzer in obs/report keeps its own flat single-line
-// cursor (its schema never nests); this is the general value tree for
-// inputs the framework does not control — client requests arriving over
-// a socket — so it parses arbitrary nesting, escapes and unicode
-// \uXXXX sequences (encoded as UTF-8), and rejects trailing garbage.
-// No external dependency: the container images this runs in carry only
-// the C++ toolchain.
+// The parser takes inputs the framework does not control — client
+// requests arriving over a socket — so it parses arbitrary nesting (up
+// to a depth cap), escapes and unicode \uXXXX sequences (encoded as
+// UTF-8), and rejects trailing garbage. Integer literals stay exact
+// across the int64 and uint64 ranges (a u64 seed survives a round trip);
+// every other number is a finite double. No external dependency: the container images this runs in
+// carry only the C++ toolchain.
 
 #include <cstdint>
 #include <map>
@@ -41,8 +48,9 @@ class Json {
 
   /// Checked accessors: throw Error("expected <type>") on mismatch.
   bool as_bool() const;
-  double as_number() const;
+  double as_number() const;     ///< any number (big integers rounded)
   std::int64_t as_int() const;  ///< number, checked integral + in range
+  std::uint64_t as_u64() const; ///< number, checked integral, >= 0, in range
   const std::string& as_string() const;
   const std::vector<Json>& as_array() const;
 
@@ -61,14 +69,10 @@ class Json {
   void set(const std::string& key, bool v) { set(key, make_bool(v)); }
   void set(const std::string& key, double v) { set(key, make_number(v)); }
   void set(const std::string& key, int v) {
-    set(key, make_number(static_cast<double>(v)));
+    set(key, static_cast<std::int64_t>(v));
   }
-  void set(const std::string& key, std::int64_t v) {
-    set(key, make_number(static_cast<double>(v)));
-  }
-  void set(const std::string& key, std::uint64_t v) {
-    set(key, make_number(static_cast<double>(v)));
-  }
+  void set(const std::string& key, std::int64_t v) { set(key, exact(v)); }
+  void set(const std::string& key, std::uint64_t v) { set(key, exact(v)); }
   void set(const std::string& key, const char* v) {
     set(key, make_string(v));
   }
@@ -76,14 +80,28 @@ class Json {
     set(key, make_string(v));
   }
 
-  /// Compact single-line serialization (no spaces); numbers print with
-  /// %.17g precision trimmed to the shortest round-trip form %g gives.
+  /// Compact single-line serialization (no spaces). Integers — exact
+  /// ones and integral doubles within int64 range — print as integers;
+  /// every other double prints in the shortest form that reads back as
+  /// the same double (std::to_chars), and a NaN or infinity as null.
   std::string dump() const;
 
  private:
+  class Parser;  // json.cpp
+  friend Json parse_json(const std::string& text);
+
+  /// How a number is held: num_ always carries it as a double; an
+  /// integer literal or integer set() also keeps the exact value.
+  enum class Exact : unsigned char { kNo, kInt, kUint };
+  static Json exact(std::int64_t v);
+  static Json exact(std::uint64_t v);  ///< kInt when it fits int64
+
   Type type_ = Type::kNull;
   bool bool_ = false;
+  Exact exact_ = Exact::kNo;
   double num_ = 0.0;
+  std::int64_t int_ = 0;    ///< the value when exact_ == kInt
+  std::uint64_t uint_ = 0;  ///< the value when exact_ == kUint
   std::string str_;
   std::vector<Json> arr_;
   std::vector<std::string> obj_keys_;
@@ -94,8 +112,5 @@ class Json {
 /// Parses one complete JSON document; throws Error (with a byte offset)
 /// on malformed input or trailing non-whitespace.
 Json parse_json(const std::string& text);
-
-/// JSON string escaping of `s` (without the surrounding quotes).
-std::string json_escape_string(const std::string& s);
 
 }  // namespace amdrel::util

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <map>
 #include <set>
 #include <sstream>
@@ -9,7 +10,6 @@
 
 #include "netlist/simulate.hpp"
 #include "util/error.hpp"
-#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "verify/cnf.hpp"
@@ -389,9 +389,13 @@ class EquivChecker {
 
   EquivResult run() {
     const auto t0 = Clock::now();
-    deadline_ =
-        t0 + std::chrono::duration_cast<Clock::duration>(
-                 std::chrono::duration<double>(options_.time_limit_s));
+    // Bounded (NaN and negatives to 0, anything past ~30 years to that)
+    // so the cast to integer clock ticks is defined for any budget a
+    // job spec or command line carries.
+    const double limit_s =
+        std::fmin(std::fmax(options_.time_limit_s, 0.0), 1e9);
+    deadline_ = t0 + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double>(limit_s));
     EquivResult result = check();
     result.seed = options_.seed;
     result.stats = agg_stats_;
@@ -841,47 +845,44 @@ std::string EquivResult::to_text() const {
   return os.str();
 }
 
-std::string EquivResult::to_json() const {
-  std::ostringstream os;
-  os << "{\"status\":\"" << equiv_status_name(status) << "\",\"message\":";
-  os << '"' << util::json_escape_string(message) << '"';
-  os << ",\"seed\":" << seed << ",\"matched_registers\":" << matched_registers
-     << ",\"proved_outputs\":" << proved_outputs
-     << ",\"merged_points\":" << merged_points << ",\"sat\":{\"vars\":"
-     << stats.vars << ",\"clauses\":" << stats.clauses
-     << ",\"conflicts\":" << stats.conflicts
-     << ",\"decisions\":" << stats.decisions
-     << ",\"propagations\":" << stats.propagations
-     << ",\"restarts\":" << stats.restarts
-     << ",\"learned\":" << stats.learned_clauses
-     << ",\"solves\":" << stats.solves
-     << ",\"wall_s\":" << strprintf("%.6f", stats.wall_s) << "}";
+util::Json EquivResult::to_json() const {
+  util::Json out = util::Json::make_object();
+  out.set("status", equiv_status_name(status));
+  out.set("message", message);
+  out.set("seed", seed);
+  out.set("matched_registers", matched_registers);
+  out.set("proved_outputs", proved_outputs);
+  out.set("merged_points", merged_points);
+  util::Json sat = util::Json::make_object();
+  sat.set("vars", stats.vars);
+  sat.set("clauses", stats.clauses);
+  sat.set("conflicts", stats.conflicts);
+  sat.set("decisions", stats.decisions);
+  sat.set("propagations", stats.propagations);
+  sat.set("restarts", stats.restarts);
+  sat.set("learned", stats.learned_clauses);
+  sat.set("solves", stats.solves);
+  sat.set("wall_s", stats.wall_s);
+  out.set("sat", std::move(sat));
   if (cex.has_value()) {
-    os << ",\"counterexample\":{\"diverging_output\":";
-    os << '"' << util::json_escape_string(cex->diverging_output) << '"';
-    os << ",\"value_a\":" << (cex->value_a ? "true" : "false")
-       << ",\"value_b\":" << (cex->value_b ? "true" : "false")
-       << ",\"inputs\":{";
-    for (std::size_t i = 0; i < cex->inputs.size(); ++i) {
-      if (i) os << ",";
-      os << '"' << util::json_escape_string(cex->inputs[i].first) << '"';
-      os << ":" << (cex->inputs[i].second ? "true" : "false");
+    util::Json c = util::Json::make_object();
+    c.set("diverging_output", cex->diverging_output);
+    c.set("value_a", cex->value_a);
+    c.set("value_b", cex->value_b);
+    util::Json inputs = util::Json::make_object();
+    for (const auto& [name, v] : cex->inputs) inputs.set(name, v);
+    c.set("inputs", std::move(inputs));
+    util::Json registers = util::Json::make_object();
+    for (const auto& [name, v] : cex->registers) registers.set(name, v);
+    c.set("registers", std::move(registers));
+    util::Json care = util::Json::make_array();
+    for (const std::string& name : cex->care_inputs) {
+      care.push_back(util::Json::make_string(name));
     }
-    os << "},\"registers\":{";
-    for (std::size_t i = 0; i < cex->registers.size(); ++i) {
-      if (i) os << ",";
-      os << '"' << util::json_escape_string(cex->registers[i].first) << '"';
-      os << ":" << (cex->registers[i].second ? "true" : "false");
-    }
-    os << "},\"care_inputs\":[";
-    for (std::size_t i = 0; i < cex->care_inputs.size(); ++i) {
-      if (i) os << ",";
-      os << '"' << util::json_escape_string(cex->care_inputs[i]) << '"';
-    }
-    os << "]}";
+    c.set("care_inputs", std::move(care));
+    out.set("counterexample", std::move(c));
   }
-  os << "}";
-  return os.str();
+  return out;
 }
 
 }  // namespace amdrel::verify

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "netlist/network.hpp"
+#include "util/json.hpp"
 #include "verify/solver.hpp"
 
 namespace amdrel::verify {
@@ -94,7 +95,7 @@ struct EquivResult {
 
   bool equivalent() const { return status == EquivStatus::kEquivalent; }
   std::string to_text() const;
-  std::string to_json() const;
+  util::Json to_json() const;
 };
 
 /// Proves (or refutes) sequential equivalence of `a` and `b` at the

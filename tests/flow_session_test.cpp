@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -18,16 +19,13 @@
 #include "bitgen/bitstream.hpp"
 #include "flow/jobspec.hpp"
 #include "flow/session.hpp"
-#include "json_check.hpp"
 #include "netlist/blif.hpp"
 #include "obs/obs.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace amdrel {
 namespace {
-
-using testing::json_field;
-using testing::json_valid;
 
 std::string fixture(const std::string& name) {
   return std::string(AMDREL_FIXTURE_DIR) + "/" + name;
@@ -136,9 +134,10 @@ TEST(FlowSession, TraceJsonlHasOneSpanPerStage) {
   int lines = 0;
   for (std::string line; std::getline(in, line);) {
     ++lines;
-    ASSERT_TRUE(json_valid(line)) << line;
-    const std::string type = json_field(line, "type").value_or("");
-    const std::string name = json_field(line, "name").value_or("");
+    util::Json event;
+    ASSERT_NO_THROW(event = util::parse_json(line)) << line;
+    const std::string& type = event.at("type").as_string();
+    const std::string& name = event.at("name").as_string();
     if (name.rfind("flow.", 0) == 0) {
       if (type == "begin") ++begins[name];
       if (type == "span") ++ends[name];
@@ -505,6 +504,55 @@ TEST(FlowSession, JobSpecRejectsAnUndrivenSignal) {
               std::string::npos)
         << e.what();
   }
+}
+
+/// A partial run reports only the stages that ran: the later artifacts
+/// (mapped, packed, ...) do not exist yet and must not be read.
+TEST(FlowSession, ReportAfterPartialRunNamesOnlyStagesThatRan) {
+  flow::FlowSession session(small_design(), fast_options());
+  const char* later[] = {"packing", "placement", "routing",
+                         "power",   "timing",    "bitstream"};
+  session.run_until(flow::Stage::kSynth);
+  std::string report = session.result().report();
+  EXPECT_NE(report.find("synthesis"), std::string::npos) << report;
+  EXPECT_EQ(report.find("mapping"), std::string::npos) << report;
+  for (const char* stage : later) {
+    EXPECT_EQ(report.find(stage), std::string::npos) << report;
+  }
+  session.run_until(flow::Stage::kMap);
+  report = session.result().report();
+  EXPECT_NE(report.find("synthesis"), std::string::npos) << report;
+  EXPECT_NE(report.find("mapping"), std::string::npos) << report;
+  for (const char* stage : later) {
+    EXPECT_EQ(report.find(stage), std::string::npos) << report;
+  }
+}
+
+/// Seeds past 2^53 survive JobSpec JSON exactly: a double would round
+/// 2^53+1 to 2^53 and turn two different jobs into one.
+TEST(FlowSession, JobSpecSeedsRoundTripExactlyThroughJson) {
+  for (const std::uint64_t seed :
+       {(std::uint64_t{1} << 53) + 1, ~std::uint64_t{0}}) {
+    flow::JobSpec spec;
+    spec.source = flow::JobSpec::Source::kBenchGen;
+    spec.bench.seed = seed;
+    spec.options.seed = seed;
+    spec.options.verify_seed = seed;
+    const std::string text = flow::job_spec_to_json(spec).dump();
+    const flow::JobSpec back = flow::parse_job_spec_json(text);
+    EXPECT_EQ(back.bench.seed, seed) << text;
+    EXPECT_EQ(back.options.seed, seed) << text;
+    EXPECT_EQ(back.options.verify_seed, seed) << text;
+  }
+  EXPECT_THROW(flow::parse_job_spec_json(
+                   R"({"source":"bench_gen","options":{"seed":-1}})"),
+               Error);
+  EXPECT_THROW(flow::parse_job_spec_json(
+                   R"({"source":"bench_gen","options":{"seed":1.5}})"),
+               Error);
+  EXPECT_THROW(flow::parse_job_spec_json(
+                   R"({"source":"bench_gen","bench":{"seed":1e300}})"),
+               Error);
 }
 
 TEST(FlowSession, WrappersStillProduceCompleteResults) {

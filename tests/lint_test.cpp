@@ -76,7 +76,7 @@ TEST(LintEngine, TextAndJsonEmitters) {
   const std::string text = report.to_text();
   EXPECT_NE(text.find("error [NL002]"), std::string::npos);
   EXPECT_NE(text.find("1 error(s)"), std::string::npos);
-  const std::string json = report.to_json();
+  const std::string json = report.to_json().dump();
   EXPECT_NE(json.find("\"rule\":\"NL002\""), std::string::npos);
   EXPECT_NE(json.find("\\\"y\\\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"error\":1"), std::string::npos);

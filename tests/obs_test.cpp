@@ -9,15 +9,12 @@
 #include <utility>
 #include <vector>
 
-#include "json_check.hpp"
 #include "obs/obs.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace amdrel {
 namespace {
-
-using testing::json_field;
-using testing::json_valid;
 
 /// Records every event for assertions (single-threaded tests only).
 class CaptureSink : public obs::Sink {
@@ -120,19 +117,18 @@ TEST(Obs, JsonlSinkWritesParseableLines) {
 
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open());
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 3u);  // begin, point, span end
-  for (const std::string& line : lines) {
-    EXPECT_TRUE(json_valid(line)) << line;
+  std::vector<util::Json> events;
+  for (std::string line; std::getline(in, line);) {
+    ASSERT_NO_THROW(events.push_back(util::parse_json(line))) << line;
   }
-  EXPECT_EQ(json_field(lines[0], "type").value_or(""), "begin");
-  EXPECT_EQ(json_field(lines[0], "name").value_or(""), "flow.test");
-  EXPECT_EQ(json_field(lines[1], "type").value_or(""), "point");
-  EXPECT_EQ(json_field(lines[1], "width").value_or(""), "12");
-  EXPECT_EQ(json_field(lines[2], "type").value_or(""), "span");
-  EXPECT_EQ(json_field(lines[2], "wall_s").value_or(""), "0.25");
-  EXPECT_TRUE(json_field(lines[2], "dur").has_value());
+  ASSERT_EQ(events.size(), 3u);  // begin, point, span end
+  EXPECT_EQ(events[0].at("type").as_string(), "begin");
+  EXPECT_EQ(events[0].at("name").as_string(), "flow.test");
+  EXPECT_EQ(events[1].at("type").as_string(), "point");
+  EXPECT_EQ(events[1].at("metrics").at("width").as_number(), 12.0);
+  EXPECT_EQ(events[2].at("type").as_string(), "span");
+  EXPECT_EQ(events[2].at("metrics").at("wall_s").as_number(), 0.25);
+  EXPECT_TRUE(events[2].at("dur").is_number());
   std::remove(path.c_str());
 }
 
@@ -275,8 +271,9 @@ TEST(Obs, JsonlSinkFlushEachWritesLinesImmediately) {
   std::ifstream in(path);
   std::string line;
   ASSERT_TRUE(std::getline(in, line));
-  EXPECT_TRUE(json_valid(line)) << line;
-  EXPECT_EQ(json_field(line, "name").value_or(""), "test.durable");
+  util::Json event;
+  ASSERT_NO_THROW(event = util::parse_json(line)) << line;
+  EXPECT_EQ(event.at("name").as_string(), "test.durable");
   std::remove(path.c_str());
 }
 
@@ -530,19 +527,19 @@ TEST(Obs, JsonlSinkWritesIdParentAndTraceFields) {
   }
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open());
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 4u);  // begin begin end end
-  for (const std::string& line : lines) {
-    EXPECT_TRUE(json_valid(line)) << line;
-    EXPECT_EQ(json_field(line, "trace").value_or(""), "job-42") << line;
-    EXPECT_TRUE(json_field(line, "id").has_value()) << line;
+  std::vector<util::Json> events;
+  for (std::string line; std::getline(in, line);) {
+    ASSERT_NO_THROW(events.push_back(util::parse_json(line))) << line;
+    const util::Json& e = events.back();
+    EXPECT_EQ(e.at("trace").as_string(), "job-42") << line;
+    EXPECT_TRUE(e.at("id").is_number()) << line;
   }
-  const std::string outer_id = json_field(lines[0], "id").value_or("");
+  ASSERT_EQ(events.size(), 4u);  // begin begin end end
+  const std::uint64_t outer_id = events[0].at("id").as_u64();
   // The outer span is a root: its begin omits "parent" (zero fields are
   // left out for backward compatibility); the inner one links to it.
-  EXPECT_FALSE(json_field(lines[0], "parent").has_value());
-  EXPECT_EQ(json_field(lines[1], "parent").value_or(""), outer_id);
+  EXPECT_EQ(events[0].get("parent"), nullptr);
+  EXPECT_EQ(events[1].at("parent").as_u64(), outer_id);
   std::remove(path.c_str());
 }
 

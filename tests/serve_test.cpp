@@ -158,6 +158,35 @@ TEST(Serve, MalformedRequestsAnswerErrorsOnALiveConnection) {
   server.shutdown(false);
 }
 
+/// Numbers a client controls never reach an unchecked float-to-integer
+/// cast: an id of 1e300 and a wait of 1e300 s each answer a typed error,
+/// and the daemon keeps serving.
+TEST(Serve, HostileNumbersAnswerTypedErrors) {
+  Server server;
+  server.start();
+  Client client(server.port());
+
+  util::Json reply = client.request("{\"cmd\":\"status\",\"id\":1e300}");
+  EXPECT_FALSE(reply.at("ok").as_bool());
+  EXPECT_EQ(reply.at("reason").as_string(), "bad_request");
+
+  reply = client.request("{\"cmd\":\"submit\",\"job\":" +
+                         quick_job_json(0) + "}");
+  ASSERT_TRUE(reply.at("ok").as_bool());
+  const std::int64_t id = reply.at("id").as_int();
+  for (const char* timeout : {"1e300", "-1", "86401"}) {
+    reply = client.request(strprintf(
+        "{\"cmd\":\"result\",\"id\":%lld,\"wait\":true,\"timeout_s\":%s}",
+        static_cast<long long>(id), timeout));
+    EXPECT_FALSE(reply.at("ok").as_bool()) << timeout;
+    EXPECT_EQ(reply.at("reason").as_string(), "bad_request") << timeout;
+  }
+
+  reply = client.request("{\"cmd\":\"ping\"}");
+  EXPECT_TRUE(reply.at("ok").as_bool());
+  server.shutdown(false);
+}
+
 TEST(Serve, QueueFullRejectsWithReason) {
   ServeOptions options;
   options.workers = 1;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <set>
 
 #include "util/error.hpp"
@@ -61,6 +64,72 @@ TEST(Json, MalformedInputsThrow) {
   EXPECT_THROW(util::parse_json("nul"), Error);
   EXPECT_THROW(util::parse_json("\"unterminated"), Error);
   EXPECT_THROW(util::parse_json("{} trailing"), Error);
+  for (const char* bad : {"-", "1e", "inf", "NaN", "1e400"}) {
+    EXPECT_THROW(util::parse_json(bad), Error) << bad;  // finite numbers only
+  }
+}
+
+TEST(Json, IntegersStayExactAcrossInt64AndUint64) {
+  const util::Json v = util::parse_json(
+      "[9007199254740993,18446744073709551615,-9223372036854775808]");
+  const auto& a = v.as_array();
+  EXPECT_EQ(a[0].as_u64(), 9007199254740993u);  // 2^53+1: no double rounding
+  EXPECT_EQ(a[0].as_int(), 9007199254740993);
+  EXPECT_EQ(a[1].as_u64(), 18446744073709551615u);
+  EXPECT_THROW(a[1].as_int(), Error);  // past int64
+  EXPECT_EQ(a[2].as_int(), INT64_MIN);
+  EXPECT_THROW(a[2].as_u64(), Error);  // negative
+  EXPECT_EQ(v.dump(),
+            "[9007199254740993,18446744073709551615,-9223372036854775808]");
+  util::Json obj = util::Json::make_object();
+  obj.set("u", ~std::uint64_t{0});
+  obj.set("i", std::int64_t{-9007199254740993});
+  EXPECT_EQ(obj.dump(), "{\"u\":18446744073709551615,\"i\":-9007199254740993}");
+  // as_number() still reads every number (rounded when it must be).
+  EXPECT_EQ(a[1].as_number(), 18446744073709551616.0);
+}
+
+TEST(Json, OutOfRangeNumbersThrowInsteadOfOverflowingACast) {
+  const util::Json big = util::parse_json("1e300");
+  EXPECT_THROW(big.as_int(), Error);
+  EXPECT_THROW(big.as_u64(), Error);
+  EXPECT_THROW(util::parse_json("-1e300").as_int(), Error);
+  EXPECT_THROW(util::parse_json("9223372036854775808.0").as_int(), Error);
+  EXPECT_THROW(util::parse_json("-1").as_u64(), Error);
+  EXPECT_THROW(util::parse_json("2.5").as_u64(), Error);
+  EXPECT_EQ(util::parse_json("3.0").as_int(), 3);
+  EXPECT_EQ(util::parse_json("1e3").as_u64(), 1000u);
+  EXPECT_EQ(big.dump(), "1e+300");
+  EXPECT_EQ(util::Json::make_number(-1e300).dump(), "-1e+300");
+  // JSON has no NaN or infinity: they serialize as null.
+  EXPECT_EQ(util::Json::make_number(std::nan("")).dump(), "null");
+  EXPECT_EQ(util::Json::make_number(HUGE_VAL).dump(), "null");
+}
+
+TEST(Json, DoublesPrintInTheShortestRoundTripForm) {
+  EXPECT_EQ(util::Json::make_number(0.1).dump(), "0.1");
+  EXPECT_EQ(util::Json::make_number(0.0017256109999999999).dump(),
+            "0.001725611");
+  EXPECT_EQ(util::Json::make_number(-2.5).dump(), "-2.5");
+  EXPECT_EQ(util::Json::make_number(12.0).dump(), "12");  // integral
+  EXPECT_EQ(util::Json::make_number(-0.0).dump(), "0");
+  EXPECT_EQ(util::Json::make_number(1e-7).dump(), "1e-07");
+  // Seeded sweep over magnitudes and bit patterns: the text reads back
+  // as exactly the same double.
+  Rng rng(2024);
+  for (int i = 0; i < 20000; ++i) {
+    double x = 0.0;
+    if (i % 2 == 0) {
+      const double mantissa = rng.next_double() * 2.0 - 1.0;
+      x = std::ldexp(mantissa, static_cast<int>(rng.next_below(2000)) - 1000);
+    } else {
+      const std::uint64_t bits = rng.next_u64();
+      std::memcpy(&x, &bits, sizeof(x));
+      if (!std::isfinite(x)) continue;
+    }
+    const std::string text = util::Json::make_number(x).dump();
+    EXPECT_EQ(util::parse_json(text).as_number(), x) << text;
+  }
 }
 
 TEST(Json, CheckedAccessorsRejectMismatches) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -518,13 +519,29 @@ TEST(FlowVerify, FormalModeCatchesCorruptedMapping) {
   EXPECT_EQ(result.status, verify::EquivStatus::kNotEquivalent);
 }
 
+/// Any time budget — 1e300 s, infinity, NaN — converts to a defined
+/// deadline: a huge one means no limit, NaN or a negative one none left.
+TEST(FlowVerify, OutOfRangeTimeLimitsStayDefined) {
+  const auto net = netlist::read_blif_file(fixture("eq_guard.blif"));
+  for (const double limit : {1e300, HUGE_VAL, std::nan(""), -1e300}) {
+    verify::EquivOptions options;
+    options.time_limit_s = limit;
+    const auto result = verify::prove_equivalence(net, net, options);
+    if (limit > 0) {
+      EXPECT_TRUE(result.equivalent()) << limit;
+    } else {
+      EXPECT_NE(result.status, verify::EquivStatus::kNotEquivalent) << limit;
+    }
+  }
+}
+
 TEST(FlowVerify, SeedIsPlumbedIntoReports) {
   const auto net = netlist::read_blif_file(fixture("eq_guard.blif"));
   verify::EquivOptions options;
   options.seed = 42;
   const auto result = verify::prove_equivalence(net, net, options);
   EXPECT_EQ(result.seed, 42u);
-  EXPECT_NE(result.to_json().find("\"seed\":42"), std::string::npos);
+  EXPECT_EQ(result.to_json().at("seed").as_u64(), 42u);
 }
 
 }  // namespace
