@@ -130,33 +130,11 @@ void FlowSession::verify_handoff(
                                        "': " + r.message);
   }
   if (!wants_formal(mode)) return;
-  static obs::Counter& c_formal = obs::counter("verify.formal_checks");
-  static obs::Counter& c_vars = obs::counter("verify.sat_vars");
-  static obs::Counter& c_clauses = obs::counter("verify.sat_clauses");
-  static obs::Counter& c_conflicts = obs::counter("verify.sat_conflicts");
-  static obs::Counter& c_decisions = obs::counter("verify.sat_decisions");
-  static obs::Counter& c_props = obs::counter("verify.sat_propagations");
-  static obs::Counter& c_us = obs::counter("verify.sat_us");
-  obs::Span span("verify.formal");
   verify::EquivOptions eopt;
   eopt.seed = options_.verify_seed;
   eopt.time_limit_s = options_.verify_time_limit_s;
   eopt.register_map = register_map;
   const verify::EquivResult res = verify::prove_equivalence(ref, impl, eopt);
-  c_formal.add(1);
-  c_vars.add(static_cast<std::uint64_t>(res.stats.vars));
-  c_clauses.add(static_cast<std::uint64_t>(res.stats.clauses));
-  c_conflicts.add(res.stats.conflicts);
-  c_decisions.add(res.stats.decisions);
-  c_props.add(res.stats.propagations);
-  c_us.add(static_cast<std::uint64_t>(res.stats.wall_s * 1e6));
-  if (span.active()) {
-    span.metric("sat_vars", static_cast<double>(res.stats.vars));
-    span.metric("sat_clauses", static_cast<double>(res.stats.clauses));
-    span.metric("sat_conflicts", static_cast<double>(res.stats.conflicts));
-    span.metric("proved_outputs", static_cast<double>(res.proved_outputs));
-    span.metric("merged_points", static_cast<double>(res.merged_points));
-  }
   if (res.status == verify::EquivStatus::kNotEquivalent) {
     std::string msg = "formal equivalence lost at stage '" + handoff +
                       "': " + res.message;

@@ -2,6 +2,8 @@
 
 #include <sys/resource.h>
 
+#include <cmath>
+
 #include "util/error.hpp"
 
 namespace amdrel::obs {
@@ -136,8 +138,15 @@ void JsonlSink::on_event(const Event& e) {
   if (e.n_metrics > 0) {
     std::fprintf(file_, ",\"metrics\":{");
     for (std::size_t i = 0; i < e.n_metrics; ++i) {
-      std::fprintf(file_, "%s\"%s\":%.9g", i > 0 ? "," : "",
-                   e.metrics[i].key, e.metrics[i].value);
+      // JSON has no NaN or infinity: a non-finite value prints as null.
+      const double v = e.metrics[i].value;
+      if (std::isfinite(v)) {
+        std::fprintf(file_, "%s\"%s\":%.9g", i > 0 ? "," : "",
+                     e.metrics[i].key, v);
+      } else {
+        std::fprintf(file_, "%s\"%s\":null", i > 0 ? "," : "",
+                     e.metrics[i].key);
+      }
     }
     std::fprintf(file_, "}");
   }

@@ -116,6 +116,8 @@ bool parse_trace_line(const std::string& line, TraceEvent* out) {
         out->trace = v.as_string();
       } else if (key == "metrics" && v.is_object()) {
         for (const std::string& mkey : v.keys()) {
+          // null: a non-finite value the sink could not print.
+          if (v.at(mkey).is_null()) continue;
           out->metrics.emplace_back(mkey, v.at(mkey).as_number());
         }
       } else {

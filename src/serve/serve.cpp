@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <unordered_map>
 
@@ -847,7 +848,14 @@ util::Json Server::cmd_events(const util::Json& req) const {
   int limit = 100;
   if (const util::Json* a = req.get("after")) after = a->as_int();
   if (const util::Json* l = req.get("limit")) {
-    limit = static_cast<int>(l->as_int());
+    // Checked before the narrowing: 0 means no cap, a negative or
+    // wider-than-int limit is the client's error.
+    const std::int64_t requested = l->as_int();
+    if (requested < 0 || requested > std::numeric_limits<int>::max()) {
+      return error_reply("'limit' must be in [0, 2147483647]",
+                         "bad_request");
+    }
+    limit = static_cast<int>(requested);
   }
   const std::vector<DaemonEvent> events = events_after(after, limit);
   util::Json reply = util::Json::make_object();

@@ -9,6 +9,8 @@
 #include <unordered_map>
 
 #include "netlist/simulate.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -56,9 +58,10 @@ std::vector<char> eval_combinational(
 }
 
 /// Per-signal depth (0 at PIs / latch outputs, 1 + max(inputs) at gates).
-std::vector<int> signal_depths(const Network& net) {
+std::vector<int> signal_depths(const Network& net,
+                               const std::vector<int>& topo) {
   std::vector<int> depth(static_cast<std::size_t>(net.num_signals()), 0);
-  for (const int gi : net.topo_order()) {
+  for (const int gi : topo) {
     const auto& g = net.gates()[static_cast<std::size_t>(gi)];
     int d = 0;
     for (const SignalId in : g.inputs) {
@@ -69,24 +72,45 @@ std::vector<int> signal_depths(const Network& net) {
   return depth;
 }
 
-/// 64-bit-parallel evaluation of all signals from per-leaf pattern words.
-void simulate_words(const Network& net,
-                    const std::vector<std::uint64_t>& leaf_words,
-                    std::vector<std::uint64_t>* words) {
-  *words = leaf_words;
-  for (const int gi : net.topo_order()) {
+/// Word-parallel evaluation of every gate over `n_words` 64-bit pattern
+/// words per signal (`words[s * n_words + w]`, leaf words filled in). A
+/// gate ORs the cubes of its onset cover on whole words; a support wider
+/// than six inputs is looked up bit by bit.
+void simulate_words(const Network& net, const std::vector<int>& topo,
+                    std::size_t n_words, std::vector<std::uint64_t>* words) {
+  const auto at = [n_words](SignalId s, std::size_t w) {
+    return static_cast<std::size_t>(s) * n_words + w;
+  };
+  for (const int gi : topo) {
     const auto& g = net.gates()[static_cast<std::size_t>(gi)];
-    std::uint64_t out = 0;
-    for (int bit = 0; bit < 64; ++bit) {
-      std::uint64_t row = 0;
-      for (std::size_t i = 0; i < g.inputs.size(); ++i) {
-        row |= ((words->at(static_cast<std::size_t>(g.inputs[i])) >> bit) &
-                1ull)
-               << i;
-      }
-      if (g.table.get(row)) out |= 1ull << bit;
+    const GateCover cover = cover_gate(g);
+    std::vector<SignalId> in;
+    for (const int i : cover.support) {
+      in.push_back(g.inputs[static_cast<std::size_t>(i)]);
     }
-    (*words)[static_cast<std::size_t>(g.output)] = out;
+    for (std::size_t w = 0; w < n_words; ++w) {
+      std::uint64_t out = 0;
+      if (cover.has_cubes) {
+        for (const Cube& c : cover.onset) {
+          std::uint64_t term = ~0ull;
+          for (std::size_t j = 0; j < in.size(); ++j) {
+            if (!((c.care >> j) & 1)) continue;
+            const std::uint64_t x = (*words)[at(in[j], w)];
+            term &= ((c.value >> j) & 1) ? x : ~x;
+          }
+          out |= term;
+        }
+      } else {
+        for (int bit = 0; bit < 64; ++bit) {
+          std::uint64_t row = 0;
+          for (std::size_t j = 0; j < in.size(); ++j) {
+            row |= (((*words)[at(in[j], w)] >> bit) & 1ull) << j;
+          }
+          if (cover.table.get(row)) out |= 1ull << bit;
+        }
+      }
+      (*words)[at(g.output, w)] = out;
+    }
   }
 }
 
@@ -554,9 +578,24 @@ class EquivChecker {
     }
 
     // ---- SAT sweeping ----
+    const auto t_sweep = Clock::now();
     result->merged_points = sweep();
+    const auto t_miter = Clock::now();
+    agg_stats_.sweep_s +=
+        std::chrono::duration<double>(t_miter - t_sweep).count();
 
     // ---- output miters ----
+    const EquivStatus status = prove_obligations(obligations, result);
+    agg_stats_.miter_s +=
+        std::chrono::duration<double>(Clock::now() - t_miter).count();
+    accumulate_stats();
+    return status;
+  }
+
+  /// The output and next-state miters, two assumption-activated solves
+  /// per obligation; a SAT answer becomes a replayed counterexample.
+  EquivStatus prove_obligations(const std::vector<Obligation>& obligations,
+                                EquivResult* result) {
     solver_.set_conflict_budget(options_.conflict_limit);
     solver_.set_deadline(deadline_);
     result->proved_outputs = 0;
@@ -570,12 +609,10 @@ class EquivChecker {
               "budget exhausted proving '%s' (%llu conflicts so far)",
               ob.label.c_str(),
               static_cast<unsigned long long>(solver_.stats().conflicts));
-          accumulate_stats();
           return result->status;
         }
         if (r == Solver::Result::kSat) {
           *result = found_counterexample(ob, std::move(*result));
-          accumulate_stats();
           return result->status;
         }
       }
@@ -586,7 +623,6 @@ class EquivChecker {
         "%d output(s) and %d next-state function(s) proven equivalent",
         static_cast<int>(names_of(a_, a_.outputs()).size()),
         result->matched_registers);
-    accumulate_stats();
     return result->status;
   }
 
@@ -605,52 +641,50 @@ class EquivChecker {
   /// Simulation-guided internal-point merging: candidates with equal (or
   /// complementary) 64-bit signatures are proven pairwise under a small
   /// conflict budget and, when UNSAT, tied together with equality clauses.
+  /// Every SAT answer is a model of the whole miter, so its values refute
+  /// any later candidate they already tell apart; those are skipped.
   int sweep() {
     // Random pattern words per leaf solver var (shared leaves share
     // patterns by construction).
+    const auto n_words = static_cast<std::size_t>(options_.sim_words);
+    const auto n_vars = static_cast<std::size_t>(solver_.num_vars());
     Rng rng(options_.seed ^ 0x5eedf00dull);
-    std::vector<std::vector<std::uint64_t>> leaf_words(
-        static_cast<std::size_t>(options_.sim_words));
+    std::vector<std::vector<std::uint64_t>> leaf_words(n_words);
     for (auto& w : leaf_words) {
-      w.assign(static_cast<std::size_t>(solver_.num_vars()), 0);
+      w.assign(n_vars, 0);
       for (auto& x : w) x = rng.next_u64();
     }
-    const auto leaf_word = [&](int round, Var v) {
-      return leaf_words[static_cast<std::size_t>(round)]
-                       [static_cast<std::size_t>(v)];
-    };
 
-    // Signature per (net, signal): sim_words words, canonicalized.
+    // Signature per (net, signal): n_words words, canonicalized.
     std::map<std::vector<std::uint64_t>, std::vector<SweepEntry>> buckets;
     const Network* nets[2] = {&a_, &b_};
     const SignalVars* vars[2] = {&vars_a_, &vars_b_};
     for (int ni = 0; ni < 2; ++ni) {
       const Network& net = *nets[ni];
-      const std::vector<int> depth = signal_depths(net);
-      std::vector<std::vector<std::uint64_t>> words(
-          static_cast<std::size_t>(options_.sim_words));
-      for (int round = 0; round < options_.sim_words; ++round) {
-        std::vector<std::uint64_t> leaves(
-            static_cast<std::size_t>(net.num_signals()), 0);
-        for (SignalId s = 0; s < net.num_signals(); ++s) {
-          const Var v = vars[ni]->of(s);
-          if (v >= 0 && net.driver_gate(s) < 0) {
-            leaves[static_cast<std::size_t>(s)] = leaf_word(round, v);
-          }
-        }
-        simulate_words(net, leaves, &words[static_cast<std::size_t>(round)]);
+      const auto n_signals = static_cast<std::size_t>(net.num_signals());
+      const std::vector<int> topo = net.topo_order();
+      const std::vector<int> depth = signal_depths(net, topo);
+      std::vector<char> driven(n_signals, 0);
+      for (const auto& g : net.gates()) {
+        driven[static_cast<std::size_t>(g.output)] = 1;
       }
-      for (SignalId s = 0; s < net.num_signals(); ++s) {
-        const Var v = vars[ni]->of(s);
-        if (v < 0) continue;
-        std::vector<std::uint64_t> sig(
-            static_cast<std::size_t>(options_.sim_words));
-        for (int round = 0; round < options_.sim_words; ++round) {
-          sig[static_cast<std::size_t>(round)] =
-              words[static_cast<std::size_t>(round)]
-                   [static_cast<std::size_t>(s)];
+      std::vector<std::uint64_t> words(n_signals * n_words, 0);
+      for (std::size_t s = 0; s < n_signals; ++s) {
+        const Var v = vars[ni]->var[s];
+        if (v < 0 || driven[s]) continue;
+        for (std::size_t w = 0; w < n_words; ++w) {
+          words[s * n_words + w] = leaf_words[w][static_cast<std::size_t>(v)];
         }
-        SweepEntry e{depth[static_cast<std::size_t>(s)], ni, s, v, false};
+      }
+      simulate_words(net, topo, n_words, &words);
+      for (std::size_t s = 0; s < n_signals; ++s) {
+        const Var v = vars[ni]->var[s];
+        if (v < 0) continue;
+        const auto first =
+            words.begin() + static_cast<std::ptrdiff_t>(s * n_words);
+        std::vector<std::uint64_t> sig(
+            first, first + static_cast<std::ptrdiff_t>(n_words));
+        SweepEntry e{depth[s], ni, static_cast<SignalId>(s), v, false};
         if (sig[0] & 1ull) {
           for (auto& x : sig) x = ~x;
           e.negated = true;
@@ -678,6 +712,25 @@ class EquivChecker {
                                 y->front().signal);
               });
 
+    // Bit k of models[v] is v's value in the k-th SAT model (up to 64).
+    std::vector<std::uint64_t> models(n_vars, 0);
+    int n_models = 0;
+    const auto record_model = [&]() {
+      if (n_models == 64) return;
+      for (std::size_t v = 0; v < n_vars; ++v) {
+        if (solver_.model_value(static_cast<Var>(v))) {
+          models[v] |= 1ull << n_models;
+        }
+      }
+      ++n_models;
+    };
+    const auto solve = [&](std::vector<Lit> assumptions) {
+      ++agg_stats_.sweep_solves;
+      const Solver::Result r = solver_.solve(assumptions);
+      if (r == Solver::Result::kSat) record_model();
+      return r;
+    };
+
     int merged = 0;
     solver_.set_conflict_budget(options_.sweep_conflict_limit);
     solver_.set_deadline(deadline_);
@@ -688,13 +741,24 @@ class EquivChecker {
         const SweepEntry& e = (*entries)[i];
         if (e.var == rep.var) continue;  // already the same variable
         const bool complement = (e.negated != rep.negated);
+        const std::uint64_t seen =
+            n_models == 64 ? ~0ull : (1ull << n_models) - 1;
+        const std::uint64_t diff =
+            (models[static_cast<std::size_t>(rep.var)] ^
+             models[static_cast<std::size_t>(e.var)]) & seen;
+        if (diff != (complement ? seen : 0)) {
+          ++agg_stats_.sweep_pruned;  // a recorded model tells them apart
+          continue;
+        }
         // rep == e (xor complement) iff both difference phases are UNSAT.
-        const Solver::Result r1 = solver_.solve(
-            {mk_lit(rep.var, false), mk_lit(e.var, !complement)});
-        if (r1 != Solver::Result::kUnsat) continue;
-        const Solver::Result r2 = solver_.solve(
-            {mk_lit(rep.var, true), mk_lit(e.var, complement)});
-        if (r2 != Solver::Result::kUnsat) continue;
+        if (solve({mk_lit(rep.var, false), mk_lit(e.var, !complement)}) !=
+            Solver::Result::kUnsat) {
+          continue;
+        }
+        if (solve({mk_lit(rep.var, true), mk_lit(e.var, complement)}) !=
+            Solver::Result::kUnsat) {
+          continue;
+        }
         add_equal(&solver_, rep.var, e.var, complement);
         ++merged;
       }
@@ -821,7 +885,35 @@ class EquivChecker {
 
 EquivResult prove_equivalence(const Network& a, const Network& b,
                               const EquivOptions& options) {
-  return EquivChecker(a, b, options).run();
+  static obs::Counter& c_formal = obs::counter("verify.formal_checks");
+  static obs::Counter& c_vars = obs::counter("verify.sat_vars");
+  static obs::Counter& c_clauses = obs::counter("verify.sat_clauses");
+  static obs::Counter& c_conflicts = obs::counter("verify.sat_conflicts");
+  static obs::Counter& c_decisions = obs::counter("verify.sat_decisions");
+  static obs::Counter& c_props = obs::counter("verify.sat_propagations");
+  static obs::Counter& c_us = obs::counter("verify.sat_us");
+  obs::Span span("verify.formal");
+  EquivResult res = EquivChecker(a, b, options).run();
+  const SatStats& st = res.stats;
+  c_formal.add(1);
+  c_vars.add(static_cast<std::uint64_t>(st.vars));
+  c_clauses.add(static_cast<std::uint64_t>(st.clauses));
+  c_conflicts.add(st.conflicts);
+  c_decisions.add(st.decisions);
+  c_props.add(st.propagations);
+  c_us.add(static_cast<std::uint64_t>(st.wall_s * 1e6));
+  if (span.active()) {
+    span.metric("sat_vars", static_cast<double>(st.vars));
+    span.metric("sat_clauses", static_cast<double>(st.clauses));
+    span.metric("sat_conflicts", static_cast<double>(st.conflicts));
+    span.metric("proved_outputs", static_cast<double>(res.proved_outputs));
+    span.metric("merged_points", static_cast<double>(res.merged_points));
+    span.metric("sweep_s", st.sweep_s);
+    span.metric("miter_s", st.miter_s);
+    span.metric("sweep_solves", static_cast<double>(st.sweep_solves));
+    span.metric("sweep_pruned", static_cast<double>(st.sweep_pruned));
+  }
+  return res;
 }
 
 std::string EquivResult::to_text() const {

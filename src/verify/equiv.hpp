@@ -15,10 +15,18 @@
 // the pair is declared non-equivalent.
 //
 // Before the output miters run, a SAT-sweeping pass merges internal
-// equivalence candidates (64-bit parallel random simulation signatures,
-// conflict-limited pairwise proofs in topological order), which keeps
-// structurally different netlists — e.g. pre- vs post-LUT-mapping —
-// tractable for the CDCL core.
+// equivalence candidates (random simulation signatures evaluated
+// word-parallel from each gate's prime cover, conflict-limited pairwise
+// proofs shallowest first), which keeps structurally different netlists
+// — e.g. pre- vs post-LUT-mapping — tractable for the CDCL core. Every
+// SAT answer of a sweep solve is a real assignment of the whole miter;
+// its values are recorded (up to 64 models) and skip any later candidate
+// pair they already tell apart, so only pairs that cannot merge are
+// skipped.
+//
+// Each prove_equivalence() call emits one `verify.formal` trace span
+// (SAT size and effort, the sweep/miter time split) and adds to the
+// `verify.*` registry counters, whichever tool calls it.
 
 #include <cstdint>
 #include <optional>
@@ -43,6 +51,10 @@ struct SatStats {
   std::uint64_t learned_clauses = 0;
   std::uint64_t solves = 0;
   double wall_s = 0.0;
+  double sweep_s = 0.0;             ///< SAT sweeping, signatures included
+  double miter_s = 0.0;             ///< output miters and counterexample
+  std::uint64_t sweep_solves = 0;   ///< sweep SAT calls
+  std::uint64_t sweep_pruned = 0;   ///< candidates a recorded model refuted
 };
 
 enum class EquivStatus {

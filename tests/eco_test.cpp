@@ -10,6 +10,7 @@
 #include "bench_gen/bench_gen.hpp"
 #include "bitgen/bitstream.hpp"
 #include "eco/eco.hpp"
+#include "flow/jobspec.hpp"
 #include "flow/session.hpp"
 #include "util/error.hpp"
 #include "verify/equiv.hpp"
@@ -260,6 +261,62 @@ TEST(Eco, OversizedEditFallsBackAndStillVerifies) {
       bitgen::decode_to_network(session.result().bitstream);
   const verify::EquivResult eq = verify::prove_equivalence(edited, fabric);
   EXPECT_TRUE(eq.equivalent()) << eq.message;
+}
+
+/// SplitMix64 of (a, b): the edit-seed stream of the eco_chain benchmark.
+std::uint64_t mix_seed(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t z = a * 0x9e3779b97f4a7c15ull + b + 0x632be59bd9b4e019ull;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+/// A refuted edit leaves the session on its last proven bitstream. This
+/// chain (eco_chain's edit recipe on a 600-gate base) hits the known
+/// incremental-remap miscompile at edit 11: the formal safety net must
+/// refute it with a counterexample and commit nothing.
+TEST(Eco, RefutedEditKeepsLastProvenBitstream) {
+  flow::JobSpec job;
+  job.source = flow::JobSpec::Source::kBenchGen;
+  job.bench.name = "eco_large";
+  job.bench.n_gates = 600;
+  job.bench.n_latches = 16;
+  job.bench.seed = 75;
+  job.options.verify_mode = flow::VerifyMode::kFormal;
+  job.options.arch.channel_width = 40;
+  flow::FlowSession session(job);
+  ASSERT_EQ(session.run_until(flow::Stage::kBitgen),
+            flow::SessionState::kDone);
+  netlist::Network current = flow::resolve_job_network(job);
+  for (int k = 0; k <= 11; ++k) {
+    bench_gen::EditSpec spec;
+    spec.flips = 3;
+    spec.rewires = 1;
+    spec.added_luts = k % 4 == 3 ? 1 : 0;
+    spec.seed = mix_seed(75, 1000 + static_cast<std::uint64_t>(k));
+    netlist::Network edited = bench_gen::perturb(current, spec);
+    if (k < 11) {
+      ASSERT_EQ(session.resume_with_edit(edited), flow::SessionState::kDone)
+          << "edit " << k;
+      current = std::move(edited);
+      continue;
+    }
+    const std::string proven =
+        flow::fnv1a64_hex(session.result().bitstream_bytes);
+    EXPECT_EQ(proven, "bcd72874dba38d39");
+    try {
+      session.resume_with_edit(edited);
+      ADD_FAILURE() << "edit 11 was not refuted";
+    } catch (const InfeasibleError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("ECO recompile"), std::string::npos) << what;
+      EXPECT_NE(what.find("miter satisfiable at 'po1'"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("counterexample: output 'po1'"), std::string::npos)
+          << what;
+    }
+    EXPECT_EQ(flow::fnv1a64_hex(session.result().bitstream_bytes), proven);
+  }
 }
 
 }  // namespace

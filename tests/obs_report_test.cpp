@@ -288,6 +288,31 @@ TEST(TraceAnalyze, FileVariantThrowsOnMissingFile) {
                Error);
 }
 
+/// JSON has no NaN or infinity: the sink prints a non-finite metric as
+/// null and the analyzer drops just that metric, not the whole span.
+TEST(TraceAnalyze, NonFiniteMetricsKeepTheirSpan) {
+  const std::string path = ::testing::TempDir() + "/report_nan.jsonl";
+  {
+    obs::ScopedSink guard(std::make_unique<obs::JsonlSink>(path));
+    obs::Span span("test.nan");
+    span.metric("ratio", std::nan(""));
+    span.metric("width", 12.0);
+    span.metric("slack", -HUGE_VAL);
+    span.metric("luts", 340.0);
+  }
+  const obs::TraceReport r = obs::analyze_trace_file(path);
+  EXPECT_EQ(r.skipped_lines, 0u);
+  ASSERT_EQ(r.roots.size(), 1u);
+  const obs::SpanNode& span = r.roots[0];
+  EXPECT_EQ(span.name, "test.nan");
+  ASSERT_EQ(span.metrics.size(), 2u);
+  EXPECT_EQ(span.metrics[0].first, "width");
+  EXPECT_DOUBLE_EQ(span.metrics[0].second, 12.0);
+  EXPECT_EQ(span.metrics[1].first, "luts");
+  EXPECT_DOUBLE_EQ(span.metrics[1].second, 340.0);
+  std::remove(path.c_str());
+}
+
 /// End-to-end cross-check: trace a real flow and verify the analyzer's
 /// per-stage wall times agree with the session's own StageMetrics. The
 /// session pins the span to the same clock readings it uses for wall_s

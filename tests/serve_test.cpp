@@ -182,6 +182,21 @@ TEST(Serve, HostileNumbersAnswerTypedErrors) {
     EXPECT_EQ(reply.at("reason").as_string(), "bad_request") << timeout;
   }
 
+  // An events limit must fit an int: 2^32 + 1 used to page one event and
+  // 2^31 to wrap negative (no cap).
+  for (const char* limit : {"4294967297", "2147483648", "-1"}) {
+    reply = client.request(
+        strprintf("{\"cmd\":\"events\",\"limit\":%s}", limit));
+    EXPECT_FALSE(reply.at("ok").as_bool()) << limit;
+    EXPECT_EQ(reply.at("reason").as_string(), "bad_request") << limit;
+  }
+  for (const char* limit : {"0", "2147483647"}) {
+    reply = client.request(
+        strprintf("{\"cmd\":\"events\",\"limit\":%s}", limit));
+    EXPECT_TRUE(reply.at("ok").as_bool()) << limit;
+    EXPECT_FALSE(reply.at("events").as_array().empty()) << limit;
+  }
+
   reply = client.request("{\"cmd\":\"ping\"}");
   EXPECT_TRUE(reply.at("ok").as_bool());
   server.shutdown(false);

@@ -9,6 +9,7 @@
 
 #include <bit>
 #include <cmath>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -19,7 +20,12 @@
 #include "lint/equiv_rules.hpp"
 #include "netlist/blif.hpp"
 #include "netlist/simulate.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "synth/lutmap.hpp"
+#include "util/rng.hpp"
+#include "util/strings.hpp"
+#include "verify/cnf.hpp"
 #include "verify/equiv.hpp"
 #include "verify/solver.hpp"
 
@@ -97,6 +103,95 @@ TEST(Solver, ConflictBudgetGivesUnknown) {
   EXPECT_EQ(solver.solve({}), verify::Solver::Result::kUnsat);
 }
 
+// ------------------------------------------------------------------- cnf
+
+/// Encodes one gate over fresh primary inputs and checks the clauses
+/// state exactly out == f: with a row's inputs assumed, out = f(row) is
+/// satisfiable and out = !f(row) is not. Returns the clause count, which
+/// never exceeds the support's row count.
+int expect_exact_encoding(const netlist::TruthTable& table) {
+  netlist::Network net("gate");
+  std::vector<netlist::SignalId> inputs;
+  int support = 0;
+  for (int i = 0; i < table.n_inputs(); ++i) {
+    inputs.push_back(net.add_signal(strprintf("i%d", i)));
+    net.add_input(inputs.back());
+    if (table.depends_on(i)) ++support;
+  }
+  const netlist::SignalId out = net.add_signal("o");
+  net.add_output(out);
+  net.add_gate("g", table, inputs, out);
+  verify::Solver solver;
+  verify::SignalVars vars;
+  verify::resize_signal_vars(net, &vars);
+  const int clauses = verify::encode_network(net, &solver, &vars);
+  EXPECT_LE(clauses, 1 << support) << table.to_hex();
+  for (std::uint64_t row = 0; row < table.n_rows(); ++row) {
+    std::vector<verify::Lit> assume;
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      assume.push_back(verify::mk_lit(vars.of(inputs[i]), !((row >> i) & 1)));
+    }
+    const bool f = table.get(row);
+    assume.push_back(verify::mk_lit(vars.of(out), !f));
+    EXPECT_EQ(solver.solve(assume), verify::Solver::Result::kSat)
+        << table.to_hex() << " row " << row;
+    assume.back() = verify::mk_lit(vars.of(out), f);
+    EXPECT_EQ(solver.solve(assume), verify::Solver::Result::kUnsat)
+        << table.to_hex() << " row " << row;
+  }
+  return clauses;
+}
+
+TEST(Cnf, PrimeCoverEncodingIsExact) {
+  // Every function of 0-3 inputs: 2 + 4 + 16 + 256 = 278 tables.
+  int tables = 0;
+  for (int n = 0; n <= 3; ++n) {
+    for (std::uint64_t bits = 0; bits < (1ull << (1 << n)); ++bits) {
+      expect_exact_encoding(netlist::TruthTable::from_bits(n, bits));
+      ++tables;
+    }
+  }
+  EXPECT_EQ(tables, 278);
+  Rng rng(2024);
+  for (int n = 4; n <= 6; ++n) {
+    for (int k = 0; k < 100; ++k) {
+      expect_exact_encoding(netlist::TruthTable::from_bits(n, rng.next_u64()));
+    }
+  }
+  // Covers, not rows: an AND needs one onset and n offset clauses.
+  EXPECT_EQ(expect_exact_encoding(netlist::TruthTable::and_n(4)), 5);
+  EXPECT_EQ(expect_exact_encoding(netlist::TruthTable::and_n(6, true)), 7);
+  // A support wider than six inputs falls back to one clause per row.
+  netlist::TruthTable wide(7);
+  for (std::uint64_t row = 0; row < wide.n_rows(); ++row) {
+    wide.set(row, rng.next_bool());
+  }
+  ASSERT_TRUE(wide.depends_on(6));
+  EXPECT_EQ(expect_exact_encoding(wide), 128);
+}
+
+TEST(Cnf, UnitPropagationFiresOnPartialInputs) {
+  // One 0 input implies an AND's output is 0 without any search.
+  netlist::Network net("and");
+  std::vector<netlist::SignalId> inputs;
+  for (int i = 0; i < 4; ++i) {
+    inputs.push_back(net.add_signal(strprintf("i%d", i)));
+    net.add_input(inputs.back());
+  }
+  const netlist::SignalId out = net.add_signal("o");
+  net.add_output(out);
+  net.add_gate("g", netlist::TruthTable::and_n(4), inputs, out);
+  verify::Solver solver;
+  verify::SignalVars vars;
+  verify::resize_signal_vars(net, &vars);
+  verify::encode_network(net, &solver, &vars);
+  EXPECT_EQ(solver.solve({verify::mk_lit(vars.of(inputs[2]), true),
+                          verify::mk_lit(vars.of(out), false)}),
+            verify::Solver::Result::kUnsat);
+  EXPECT_EQ(solver.stats().conflicts, 0u);
+  EXPECT_EQ(solver.stats().decisions, 0u);
+}
+
 // ------------------------------------------------------ prove_equivalence
 
 netlist::Network mapped_copy(const netlist::Network& net) {
@@ -159,6 +254,63 @@ TEST(ProveEquivalence, DifferentDesignsRefuted) {
   EXPECT_EQ(result.status, verify::EquivStatus::kNotEquivalent);
   ASSERT_TRUE(result.cex.has_value());
   EXPECT_FALSE(result.cex->diverging_output.empty());
+}
+
+/// Records every span-end event (single-threaded tests only).
+class SpanCapture : public obs::Sink {
+ public:
+  struct Rec {
+    std::string name;
+    double dur_s;
+    std::map<std::string, double> metrics;
+  };
+  void on_event(const obs::Event& e) override {
+    if (e.kind != obs::Event::Kind::kSpanEnd) return;
+    Rec r{e.name, e.dur_s, {}};
+    for (std::size_t i = 0; i < e.n_metrics; ++i) {
+      r.metrics[e.metrics[i].key] = e.metrics[i].value;
+    }
+    spans.push_back(std::move(r));
+  }
+  std::vector<Rec> spans;
+};
+
+/// Every caller of prove_equivalence, not only the flow, gets one
+/// verify.formal span and the verify.* counters.
+TEST(ProveEquivalence, EmitsOneSpanWithSweepAndMiterSplit) {
+  bench_gen::BenchSpec spec;
+  spec.n_inputs = 10;
+  spec.n_outputs = 6;
+  spec.n_gates = 250;
+  spec.n_latches = 16;
+  spec.seed = 5;
+  const auto net = bench_gen::generate(spec);
+  const auto mapped = mapped_copy(net);
+  const auto checks = [] {
+    return obs::snapshot_metrics().counter("verify.formal_checks");
+  };
+  const std::uint64_t before = checks();
+  SpanCapture sink;
+  obs::set_sink(&sink);
+  const auto result = verify::prove_equivalence(net, mapped);
+  obs::set_sink(nullptr);
+  ASSERT_TRUE(result.equivalent()) << result.message;
+  EXPECT_EQ(checks() - before, 1u);
+  ASSERT_EQ(sink.spans.size(), 1u);
+  const SpanCapture::Rec& span = sink.spans[0];
+  EXPECT_EQ(span.name, "verify.formal");
+  for (const char* key :
+       {"sat_vars", "sat_clauses", "sat_conflicts", "proved_outputs",
+        "merged_points", "sweep_s", "miter_s", "sweep_solves",
+        "sweep_pruned"}) {
+    EXPECT_EQ(span.metrics.count(key), 1u) << key;
+  }
+  EXPECT_EQ(span.metrics.at("proved_outputs"), result.proved_outputs);
+  EXPECT_EQ(span.metrics.at("merged_points"), result.merged_points);
+  EXPECT_GT(span.metrics.at("sweep_solves"), 0.0);
+  EXPECT_GT(span.metrics.at("sweep_s"), 0.0);
+  EXPECT_LE(span.metrics.at("sweep_s") + span.metrics.at("miter_s"),
+            span.dur_s);
 }
 
 // --------------------------------------------- seeded miscompile fixtures
