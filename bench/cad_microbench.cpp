@@ -8,7 +8,7 @@
 #include "bench_gen/bench_gen.hpp"
 #include "bitgen/bitstream.hpp"
 #include "cells/characterize.hpp"
-#include "flow/flow.hpp"
+#include "flow/session.hpp"
 #include "netlist/simulate.hpp"
 #include "pack/pack.hpp"
 #include "place/place.hpp"
@@ -85,9 +85,10 @@ void BM_BitstreamCodec(benchmark::State& state) {
   auto mapped = make_mapped(250, 16);
   flow::FlowOptions options;
   options.verify_mode = flow::VerifyMode::kOff;
-  auto r = flow::run_flow_from_network(mapped, options);
+  flow::FlowSession session(mapped, options);
+  session.resume();
   for (auto _ : state) {
-    auto bytes = bitgen::serialize(r.bitstream);
+    auto bytes = bitgen::serialize(session.result().bitstream);
     auto back = bitgen::deserialize(bytes);
     benchmark::DoNotOptimize(back.config_bits());
   }

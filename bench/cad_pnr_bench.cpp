@@ -96,7 +96,7 @@ ModeResult run_mode(const amdrel::pack::PackedNetlist& packed,
   auto fixed = route::route_all(graph, p, ro);
   r.route_s = secs_since(t0);
   r.route_iters = fixed.iterations;
-  route::verify_routing(graph, p, fixed);  // throws if illegal
+  route::verify_routing(graph, fixed);  // throws if illegal
   return r;
 }
 

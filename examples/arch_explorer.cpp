@@ -7,7 +7,7 @@
 #include <exception>
 
 #include "bench_gen/bench_gen.hpp"
-#include "flow/flow.hpp"
+#include "flow/session.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -34,7 +34,9 @@ int main() {
         options.arch.n = n;
         options.verify_mode = flow::VerifyMode::kOff;
         options.search_min_channel_width = true;
-        auto r = flow::run_flow_from_network(net, options);
+        flow::FlowSession session(net, options);
+        session.resume();
+        const flow::FlowResult& r = session.result();
         table.add_row({std::to_string(k), std::to_string(n),
                        std::to_string(options.arch.cluster_inputs()),
                        std::to_string(r.map_stats.luts),

@@ -8,7 +8,7 @@
 #include <exception>
 
 #include "bench_gen/bench_gen.hpp"
-#include "flow/flow.hpp"
+#include "flow/session.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -26,7 +26,9 @@ int main() {
       flow::FlowOptions options;
       options.verify_mode = flow::VerifyMode::kOff;  // speed; covered by tests
       options.search_min_channel_width = true;
-      auto r = flow::run_flow_from_network(net, options);
+      flow::FlowSession session(net, options);
+      session.resume();
+      const flow::FlowResult& r = session.result();
       table.add_row(
           {spec.name, std::to_string(r.map_stats.luts),
            std::to_string(static_cast<int>(r.mapped->latches().size())),

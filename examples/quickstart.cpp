@@ -10,7 +10,8 @@
 #include <cstdio>
 #include <string>
 
-#include "flow/flow.hpp"
+#include "flow/jobspec.hpp"
+#include "flow/session.hpp"
 
 namespace {
 
@@ -45,16 +46,20 @@ end rtl;
 }  // namespace
 
 int main(int argc, char** argv) {
-  amdrel::flow::FlowOptions options;
-  options.verify_mode = amdrel::flow::VerifyMode::kBoth;  // random + formal proof
-  options.search_min_channel_width = true;
-  if (argc > 1) options.artifact_dir = argv[1];
+  amdrel::flow::JobSpec job;
+  job.source = amdrel::flow::JobSpec::Source::kVhdl;
+  job.text = kCounterVhdl;
+  job.top = "counter";
+  // Random vectors plus the formal proof at every hand-off.
+  job.options.verify_mode = amdrel::flow::VerifyMode::kBoth;
+  job.options.search_min_channel_width = true;
+  if (argc > 1) job.options.artifact_dir = argv[1];
 
   std::printf("AMDREL quickstart: VHDL counter -> bitstream\n\n");
   try {
-    auto result =
-        amdrel::flow::run_flow_from_vhdl(kCounterVhdl, "counter", options);
-    std::printf("%s\n", result.report().c_str());
+    amdrel::flow::FlowSession session(job);
+    session.run_until(job.until);
+    std::printf("%s\n", session.result().report().c_str());
     std::printf("all stage equivalence checks passed "
                 "(synthesis = EDIF = BLIF = bitstream fabric)\n");
     if (argc > 1) {

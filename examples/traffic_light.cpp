@@ -7,7 +7,8 @@
 #include <cstdio>
 
 #include "bitgen/bitstream.hpp"
-#include "flow/flow.hpp"
+#include "flow/jobspec.hpp"
+#include "flow/session.hpp"
 #include "netlist/simulate.hpp"
 
 namespace {
@@ -78,9 +79,15 @@ int main() {
   using namespace amdrel;
   std::printf("traffic-light FSM on the AMDREL FPGA\n\n");
 
-  flow::FlowOptions options;
-  options.verify_mode = flow::VerifyMode::kBoth;  // random vectors + formal proof
-  auto result = flow::run_flow_from_vhdl(kTrafficVhdl, "traffic", options);
+  flow::JobSpec job;
+  job.source = flow::JobSpec::Source::kVhdl;
+  job.text = kTrafficVhdl;
+  job.top = "traffic";
+  // Random vectors plus the formal proof at every hand-off.
+  job.options.verify_mode = flow::VerifyMode::kBoth;
+  flow::FlowSession session(job);
+  session.run_until(job.until);
+  const flow::FlowResult& result = session.result();
   std::printf("%s\n", result.report().c_str());
 
   // Execute the *bitstream*: decode the configuration back into a fabric

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -75,33 +76,64 @@ ArchSpec read_arch(std::istream& in, const std::string& filename) {
     }
     const std::string& key = tokens[0];
     const std::string& val = tokens[1];
-    auto as_int = [&]() { return std::stoi(val); };
-    auto as_double = [&]() { return std::stod(val); };
+    // Every value is parsed whole and range-checked on its own line, so a
+    // bad one is a ParseError naming that line (and can never reach
+    // size_grid or the RR graph as a zero or negative capacity).
+    const auto parse = [&](auto parse_number) {
+      try {
+        return parse_number(val, key);
+      } catch (const Error& e) {
+        throw ParseError(filename, lineno, e.what());
+      }
+    };
+    const auto as_int = [&](int lo, int hi) {
+      const int v = parse(parse_int);
+      if (v < lo || v > hi) {
+        throw ParseError(filename, lineno,
+                         strprintf("%s must be in [%d, %d], got %d",
+                                   key.c_str(), lo, hi, v));
+      }
+      return v;
+    };
+    const auto as_double = [&](bool positive, double hi, const char* range) {
+      const double v = parse(parse_double);
+      if (!std::isfinite(v) || (positive ? v <= 0.0 : v < 0.0) || v > hi) {
+        throw ParseError(filename, lineno,
+                         key + " must be " + range + ", got '" + val + "'");
+      }
+      return v;
+    };
+    const auto as_flag = [&] { return as_int(0, 1) != 0; };
+    const double inf = std::numeric_limits<double>::infinity();
+    const auto fraction = [&] { return as_double(true, 1.0, "in (0, 1]"); };
+    const auto positive = [&] {
+      return as_double(true, inf, "finite and positive");
+    };
+    const auto non_negative = [&] {
+      return as_double(false, inf, "finite and non-negative");
+    };
     if (key == "name") spec.name = val;
-    else if (key == "lut_inputs") spec.k = as_int();
-    else if (key == "cluster_size") spec.n = as_int();
-    else if (key == "gated_clock_ble") spec.gated_clock_ble = as_int() != 0;
-    else if (key == "gated_clock_clb") spec.gated_clock_clb = as_int() != 0;
-    else if (key == "channel_width") spec.channel_width = as_int();
-    else if (key == "segment_length") spec.segment_length = as_int();
-    else if (key == "fs") spec.fs = as_int();
-    else if (key == "fc_in") spec.fc_in = as_double();
-    else if (key == "fc_out") spec.fc_out = as_double();
-    else if (key == "switch_width_x") spec.switch_width_x = as_double();
-    else if (key == "io_per_tile") spec.io_per_tile = as_int();
-    else if (key == "t_lut") spec.t_lut = as_double();
-    else if (key == "t_local_mux") spec.t_local_mux = as_double();
-    else if (key == "t_ff_clk_q") spec.t_ff_clk_q = as_double();
-    else if (key == "t_ff_setup") spec.t_ff_setup = as_double();
-    else if (key == "r_switch") spec.r_switch = as_double();
-    else if (key == "c_switch") spec.c_switch = as_double();
-    else if (key == "r_wire_tile") spec.r_wire_tile = as_double();
-    else if (key == "c_wire_tile") spec.c_wire_tile = as_double();
-    else if (key == "t_io") spec.t_io = as_double();
+    else if (key == "lut_inputs") spec.k = as_int(2, 8);
+    else if (key == "cluster_size") spec.n = as_int(1, 64);
+    else if (key == "gated_clock_ble") spec.gated_clock_ble = as_flag();
+    else if (key == "gated_clock_clb") spec.gated_clock_clb = as_flag();
+    else if (key == "channel_width") spec.channel_width = as_int(2, 1024);
+    else if (key == "segment_length") spec.segment_length = as_int(1, 64);
+    else if (key == "fs") spec.fs = as_int(1, 64);
+    else if (key == "fc_in") spec.fc_in = fraction();
+    else if (key == "fc_out") spec.fc_out = fraction();
+    else if (key == "switch_width_x") spec.switch_width_x = positive();
+    else if (key == "io_per_tile") spec.io_per_tile = as_int(1, 64);
+    else if (key == "t_lut") spec.t_lut = non_negative();
+    else if (key == "t_local_mux") spec.t_local_mux = non_negative();
+    else if (key == "t_ff_clk_q") spec.t_ff_clk_q = non_negative();
+    else if (key == "t_ff_setup") spec.t_ff_setup = non_negative();
+    else if (key == "r_switch") spec.r_switch = non_negative();
+    else if (key == "c_switch") spec.c_switch = non_negative();
+    else if (key == "r_wire_tile") spec.r_wire_tile = non_negative();
+    else if (key == "c_wire_tile") spec.c_wire_tile = non_negative();
+    else if (key == "t_io") spec.t_io = non_negative();
     else throw ParseError(filename, lineno, "unknown key: " + key);
-  }
-  if (spec.k < 2 || spec.k > 8 || spec.n < 1 || spec.channel_width < 2) {
-    throw ParseError(filename, lineno, "architecture out of supported range");
   }
   return spec;
 }

@@ -61,7 +61,12 @@ struct GridSize {
 GridSize size_grid(const ArchSpec& spec, int n_clusters, int n_ios);
 
 /// Writes/reads the DUTYS architecture file (a documented key/value
-/// format; every field of ArchSpec round-trips).
+/// format; every field of ArchSpec round-trips). The reader takes each
+/// value whole and in range — K in [2, 8]; N, segment length, Fs and
+/// pads per tile in [1, 64]; W in [2, 1024]; the clock-gating flags 0
+/// or 1; 0 < Fc ≤ 1; a finite, positive switch width; finite,
+/// non-negative delays, R and C — and throws ParseError naming the line
+/// of the first value that is not.
 void write_arch(const ArchSpec& spec, std::ostream& out);
 std::string write_arch_string(const ArchSpec& spec);
 void write_arch_file(const ArchSpec& spec, const std::string& path);

@@ -1004,7 +1004,7 @@ EcoResult recompile(const Network& edited, const Network& base_entry,
     }
     st.nets_rerouted = r.routing.nets_rerouted;
     st.channel_width = r.channel_width;
-    route::verify_routing(*r.rr_graph, *r.placement, r.routing);
+    route::verify_routing(*r.rr_graph, r.routing);
     if (span.active()) {
       span.metric("nets", st.nets_total);
       span.metric("nets_seeded", st.nets_seeded);

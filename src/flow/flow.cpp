@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "flow/jobspec.hpp"
-#include "flow/session.hpp"
 #include "util/strings.hpp"
 
 namespace amdrel::flow {
@@ -67,31 +65,6 @@ std::string FlowResult::report() const {
                     lint.count(lint::Severity::kInfo));
   }
   return os.str();
-}
-
-// Deprecated wrappers: both now route through the unified JobSpec entry
-// point, so a one-shot call and a daemon-submitted job with the same
-// description run exactly the same constructor path.
-FlowResult run_flow_from_vhdl(const std::string& vhdl_source,
-                              const std::string& top,
-                              const FlowOptions& options) {
-  JobSpec spec;
-  spec.source = JobSpec::Source::kVhdl;
-  spec.text = vhdl_source;
-  spec.top = top;
-  spec.options = options;
-  FlowSession session(spec);
-  session.run_until(spec.until);
-  return session.take_result();
-}
-
-FlowResult run_flow_from_network(const netlist::Network& network,
-                                 const FlowOptions& options) {
-  // The network entry has no serializable form (it is an in-memory
-  // object); it maps to the source-specific constructor directly.
-  FlowSession session(network, options);
-  session.resume();
-  return session.take_result();
 }
 
 std::vector<std::pair<std::string, std::string>> fabric_register_map(

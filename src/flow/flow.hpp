@@ -125,9 +125,9 @@ struct FlowOptions {
   VerifyMode verify_mode = VerifyMode::kRandom;
   std::uint64_t verify_seed = 1;      ///< seeds random vectors + SAT sweeps
   double verify_time_limit_s = 60.0;  ///< formal wall budget per hand-off
-  /// Run the lint/invariant barriers after every stage (netlist lint on
-  /// the mapped design, RR-graph lint, post-pack/place/route/bitgen
-  /// checks). Error-severity findings abort the flow with an
+  /// Run the lint barriers (netlist lint on the mapped design, RR-graph
+  /// lint, bitstream checks; pack, place and route check their own
+  /// artifacts always). Error-severity findings abort the flow with an
   /// InfeasibleError carrying the full report; warnings accumulate in
   /// FlowResult::lint.
   bool check_invariants = true;
@@ -183,21 +183,6 @@ struct FlowResult {
 
   std::string report() const;  ///< multi-line human-readable summary
 };
-
-/// DEPRECATED: construct a flow::JobSpec and run it through
-/// flow::FlowSession (flow/jobspec.hpp) — the daemon, CLI and tests all
-/// share that one entry-point contract. Kept as a thin wrapper over
-/// FlowSession(JobSpec) for source compatibility; a one-shot run and a
-/// staged run with the same options and seed produce bit-identical
-/// results.
-FlowResult run_flow_from_vhdl(const std::string& vhdl_source,
-                              const std::string& top,
-                              const FlowOptions& options = {});
-
-/// DEPRECATED: thin wrapper over FlowSession(JobSpec) for the BLIF /
-/// network entry point, like run_flow_from_vhdl.
-FlowResult run_flow_from_network(const netlist::Network& network,
-                                 const FlowOptions& options = {});
 
 /// Ground-truth register correspondence between the mapped netlist and
 /// the decoded fabric: packing pins each FF to a BLE slot, placement

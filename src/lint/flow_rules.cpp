@@ -1,9 +1,5 @@
 #include "lint/flow_rules.hpp"
 
-#include <algorithm>
-#include <set>
-#include <tuple>
-
 #include "netlist/simulate.hpp"
 #include "util/strings.hpp"
 
@@ -11,189 +7,31 @@ namespace amdrel::lint {
 
 namespace {
 
-using place::BlockKind;
-using place::Loc;
-
-std::string cluster_desc(std::size_t ci) {
-  return strprintf("cluster %d", static_cast<int>(ci));
+/// Each layer owns its legality check (PackedNetlist::violations,
+/// Placement::violations, route::routing_violations) and numbers its
+/// invariant kinds after their rules, so lint only names the violations:
+/// PackInvariant::kClusterSize (101) is FL101.
+template <typename Kind>
+void add_all(const std::vector<Violation<Kind>>& found, Report* report) {
+  for (const Violation<Kind>& v : found) {
+    report->add(strprintf("FL%d", static_cast<int>(v.kind)), v.object,
+                v.message);
+  }
 }
 
 }  // namespace
 
 void check_post_pack(const pack::PackedNetlist& packed, Report* report) {
-  const netlist::Network& net = packed.network();
-  const arch::ArchSpec& spec = packed.spec();
-
-  std::vector<int> gate_seen(net.gates().size(), 0);
-  std::vector<int> latch_seen(net.latches().size(), 0);
-  for (std::size_t bi = 0; bi < packed.bles().size(); ++bi) {
-    const pack::Ble& b = packed.bles()[bi];
-    if (b.lut_gate >= 0) ++gate_seen[static_cast<std::size_t>(b.lut_gate)];
-    if (b.latch >= 0) ++latch_seen[static_cast<std::size_t>(b.latch)];
-    if (b.lut_gate < 0 && b.latch < 0) {
-      report->add(rules::kPackCoverage, strprintf("BLE %d", (int)bi),
-                  "empty BLE (no LUT and no FF)");
-    }
-    if (static_cast<int>(b.inputs.size()) > spec.k) {
-      report->add(rules::kPackCoverage, strprintf("BLE %d", (int)bi),
-                  strprintf("%d inputs exceed K=%d",
-                            static_cast<int>(b.inputs.size()), spec.k));
-    }
-  }
-  for (std::size_t g = 0; g < gate_seen.size(); ++g) {
-    if (gate_seen[g] != 1) {
-      report->add(rules::kPackCoverage,
-                  "gate '" + net.gates()[g].name + "'",
-                  strprintf("packed into %d BLE(s), expected 1", gate_seen[g]));
-    }
-  }
-  for (std::size_t l = 0; l < latch_seen.size(); ++l) {
-    if (latch_seen[l] != 1) {
-      report->add(rules::kPackCoverage,
-                  "latch '" + net.latches()[l].name + "'",
-                  strprintf("packed into %d BLE(s), expected 1",
-                            latch_seen[l]));
-    }
-  }
-
-  std::vector<int> ble_seen(packed.bles().size(), 0);
-  for (std::size_t ci = 0; ci < packed.clusters().size(); ++ci) {
-    const pack::Cluster& c = packed.clusters()[ci];
-    if (static_cast<int>(c.bles.size()) > spec.n) {
-      report->add(rules::kPackClusterSize, cluster_desc(ci),
-                  strprintf("%d BLEs exceed N=%d",
-                            static_cast<int>(c.bles.size()), spec.n));
-    }
-    if (static_cast<int>(c.input_signals.size()) > spec.cluster_inputs()) {
-      report->add(rules::kPackClusterInputs, cluster_desc(ci),
-                  strprintf("%d external inputs exceed I=%d",
-                            static_cast<int>(c.input_signals.size()),
-                            spec.cluster_inputs()));
-    }
-    std::set<netlist::SignalId> clocks;
-    for (int bi : c.bles) {
-      ++ble_seen[static_cast<std::size_t>(bi)];
-      const pack::Ble& b = packed.bles()[static_cast<std::size_t>(bi)];
-      if (b.clock != netlist::kNoSignal) clocks.insert(b.clock);
-    }
-    if (clocks.size() > 1) {
-      report->add(rules::kPackClusterClock, cluster_desc(ci),
-                  strprintf("%d distinct clocks in one cluster",
-                            static_cast<int>(clocks.size())));
-    }
-  }
-  for (std::size_t bi = 0; bi < ble_seen.size(); ++bi) {
-    if (ble_seen[bi] != 1) {
-      report->add(rules::kPackCoverage, strprintf("BLE %d", (int)bi),
-                  strprintf("clustered %d time(s), expected 1", ble_seen[bi]));
-    }
-  }
+  add_all(packed.violations(), report);
 }
 
 void check_post_place(const place::Placement& placement, Report* report) {
-  const int nx = placement.nx(), ny = placement.ny();
-  const int io_per_tile = placement.spec().io_per_tile;
-  std::set<std::tuple<int, int, int>> used;
-  for (std::size_t b = 0; b < placement.blocks().size(); ++b) {
-    const place::Block& blk = placement.blocks()[b];
-    const Loc& l = placement.location(static_cast<int>(b));
-    if (blk.kind == BlockKind::kClb) {
-      if (l.x < 1 || l.x > nx || l.y < 1 || l.y > ny) {
-        report->add(rules::kPlaceOffGrid, "block '" + blk.name + "'",
-                    strprintf("CLB at (%d,%d) outside the %dx%d core", l.x,
-                              l.y, nx, ny));
-      }
-    } else {
-      const bool on_ring =
-          (l.x == 0 || l.x == nx + 1) != (l.y == 0 || l.y == ny + 1);
-      if (!on_ring) {
-        report->add(rules::kPlaceOffGrid, "block '" + blk.name + "'",
-                    strprintf("IO pad at (%d,%d) not on the perimeter ring",
-                              l.x, l.y));
-      }
-      if (l.sub < 0 || l.sub >= io_per_tile) {
-        report->add(rules::kPlaceOffGrid, "block '" + blk.name + "'",
-                    strprintf("pad sub-slot %d outside [0,%d)", l.sub,
-                              io_per_tile));
-      }
-    }
-    if (!used.insert(std::make_tuple(l.x, l.y, l.sub)).second) {
-      report->add(rules::kPlaceOverlap, "block '" + blk.name + "'",
-                  strprintf("location (%d,%d) slot %d already occupied", l.x,
-                            l.y, l.sub));
-    }
-  }
+  add_all(placement.violations(), report);
 }
 
 void check_post_route(const route::RrGraph& graph,
                       const route::RouteResult& routing, Report* report) {
-  const int n_nodes = graph.num_nodes();
-  std::vector<int> occupancy(static_cast<std::size_t>(n_nodes), 0);
-  for (std::size_t ni = 0; ni < routing.routes.size(); ++ni) {
-    const route::NetRoute& r = routing.routes[ni];
-    const auto& sinks = graph.sinks_of_net(static_cast<int>(ni));
-    const std::string net = strprintf("net %d", static_cast<int>(ni));
-    if (sinks.empty()) continue;  // clock/degenerate nets are not routed
-    if (r.nodes.empty()) {
-      report->add(rules::kRouteDisconnected, net, "net has no route");
-      continue;
-    }
-    bool structure_ok = r.parent.size() == r.nodes.size();
-    if (!structure_ok) {
-      report->add(rules::kRouteDisconnected, net,
-                  "route tree nodes/parents size mismatch");
-    } else if (r.parent[0] != -1) {
-      structure_ok = false;
-      report->add(rules::kRouteDisconnected, net,
-                  "route tree root has a parent");
-    }
-    if (r.nodes[0] != graph.opin_of_net(static_cast<int>(ni))) {
-      report->add(rules::kRouteDisconnected, net,
-                  "route tree does not start at the net's OPIN");
-    }
-    if (structure_ok) {
-      for (std::size_t k = 1; k < r.nodes.size(); ++k) {
-        const int p = r.parent[k];
-        if (p < 0 || p >= static_cast<int>(k + 1)) {
-          report->add(rules::kRouteDisconnected, net,
-                      strprintf("node %d has invalid parent index %d",
-                                static_cast<int>(k), p));
-          continue;
-        }
-        const int from = r.nodes[static_cast<std::size_t>(p)];
-        const int to = r.nodes[k];
-        if (from < 0 || from >= n_nodes || to < 0 || to >= n_nodes) {
-          report->add(rules::kRouteBadEdge, net,
-                      "route references a nonexistent RR node");
-          continue;
-        }
-        if (!graph.has_edge(from, to)) {
-          report->add(rules::kRouteBadEdge, net,
-                      strprintf("edge %d -> %d absent from the RR graph",
-                                from, to));
-        }
-      }
-    }
-    std::set<int> in_tree(r.nodes.begin(), r.nodes.end());
-    for (int s : sinks) {
-      if (!in_tree.count(s)) {
-        report->add(rules::kRouteDisconnected, net,
-                    strprintf("route misses sink node %d", s));
-      }
-    }
-    for (int id : r.nodes) {
-      if (id >= 0 && id < n_nodes) ++occupancy[static_cast<std::size_t>(id)];
-    }
-  }
-  for (int id = 0; id < n_nodes; ++id) {
-    const int occ = occupancy[static_cast<std::size_t>(id)];
-    if (occ <= 1) continue;  // capacity is always >= 1
-    const int cap = graph.node_capacity(id);
-    if (occ > cap) {
-      report->add(rules::kRouteOveruse, strprintf("rr node %d", id),
-                  strprintf("occupancy %d exceeds capacity %d", occ, cap));
-    }
-  }
+  add_all(route::routing_violations(graph, routing), report);
 }
 
 void check_post_bitgen(const std::vector<std::uint8_t>& bytes,

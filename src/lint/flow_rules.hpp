@@ -1,9 +1,9 @@
 #pragma once
-// Flow invariant checks — the post-stage barriers of the CAD pipeline.
-// Each stage of Fig. 11 (T-VPack packing, VPR place, VPR route, DAGGER
-// bitgen) gets a checker that re-derives the legality conditions of its
-// artifact and reports violations instead of throwing, so `flow` can
-// stop at the first broken hand-off with a complete diagnosis.
+// Flow invariant checks — the post-stage diagnostics of the CAD pipeline.
+// Pack, place and route legality live in their layers
+// (PackedNetlist::violations, Placement::violations,
+// route::routing_violations); these checks report every violation as a
+// lint diagnostic instead of throwing. The bitgen check is lint's own.
 //
 // Rules: FL1xx post-pack, FL2xx post-place, FL3xx post-route, FL4xx
 // post-bitgen (serialize/decode roundtrip).

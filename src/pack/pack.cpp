@@ -316,36 +316,71 @@ void PackedNetlist::pack_clusters(const PackHints* hints) {
   }
 }
 
-void PackedNetlist::validate() const {
+std::vector<PackViolation> PackedNetlist::violations() const {
   const Network& net = *network_;
+  std::vector<PackViolation> found;
+  const auto fail = [&](PackInvariant kind, std::string object,
+                        std::string message) {
+    found.push_back({kind, std::move(object), std::move(message)});
+  };
   std::vector<int> gate_seen(net.gates().size(), 0);
   std::vector<int> latch_seen(net.latches().size(), 0);
-  for (const Ble& b : bles_) {
+  for (std::size_t bi = 0; bi < bles_.size(); ++bi) {
+    const Ble& b = bles_[bi];
     if (b.lut_gate >= 0) ++gate_seen[static_cast<std::size_t>(b.lut_gate)];
     if (b.latch >= 0) ++latch_seen[static_cast<std::size_t>(b.latch)];
-    AMDREL_CHECK_MSG(b.lut_gate >= 0 || b.latch >= 0, "empty BLE");
-    AMDREL_CHECK_MSG(static_cast<int>(b.inputs.size()) <= spec_->k,
-                     "BLE with more inputs than K");
+    if (b.lut_gate < 0 && b.latch < 0) {
+      fail(PackInvariant::kCoverage, strprintf("BLE %zu", bi),
+           "empty BLE (no LUT and no FF)");
+    }
+    if (static_cast<int>(b.inputs.size()) > spec_->k) {
+      fail(PackInvariant::kCoverage, strprintf("BLE %zu", bi),
+           strprintf("%zu inputs exceed K=%d", b.inputs.size(), spec_->k));
+    }
   }
-  for (int c : gate_seen) AMDREL_CHECK_MSG(c == 1, "LUT not packed exactly once");
-  for (int c : latch_seen) AMDREL_CHECK_MSG(c == 1, "FF not packed exactly once");
+  for (std::size_t g = 0; g < gate_seen.size(); ++g) {
+    if (gate_seen[g] != 1) {
+      fail(PackInvariant::kCoverage, "gate '" + net.gates()[g].name + "'",
+           strprintf("packed into %d BLE(s), expected 1", gate_seen[g]));
+    }
+  }
+  for (std::size_t l = 0; l < latch_seen.size(); ++l) {
+    if (latch_seen[l] != 1) {
+      fail(PackInvariant::kCoverage, "latch '" + net.latches()[l].name + "'",
+           strprintf("packed into %d BLE(s), expected 1", latch_seen[l]));
+    }
+  }
 
   std::vector<int> ble_seen(bles_.size(), 0);
-  for (const Cluster& c : clusters_) {
-    AMDREL_CHECK_MSG(static_cast<int>(c.bles.size()) <= spec_->n,
-                     "cluster exceeds N BLEs");
-    AMDREL_CHECK_MSG(
-        static_cast<int>(c.input_signals.size()) <= spec_->cluster_inputs(),
-        "cluster exceeds I inputs");
+  for (std::size_t ci = 0; ci < clusters_.size(); ++ci) {
+    const Cluster& c = clusters_[ci];
+    if (static_cast<int>(c.bles.size()) > spec_->n) {
+      fail(PackInvariant::kClusterSize, strprintf("cluster %zu", ci),
+           strprintf("%zu BLEs exceed N=%d", c.bles.size(), spec_->n));
+    }
+    if (static_cast<int>(c.input_signals.size()) > spec_->cluster_inputs()) {
+      fail(PackInvariant::kClusterInputs, strprintf("cluster %zu", ci),
+           strprintf("%zu external inputs exceed I=%d",
+                     c.input_signals.size(), spec_->cluster_inputs()));
+    }
     std::set<SignalId> clocks;
     for (int bi : c.bles) {
       ++ble_seen[static_cast<std::size_t>(bi)];
       const Ble& b = bles_[static_cast<std::size_t>(bi)];
       if (b.clock != kNoSignal) clocks.insert(b.clock);
     }
-    AMDREL_CHECK_MSG(clocks.size() <= 1, "cluster with multiple clocks");
+    if (clocks.size() > 1) {
+      fail(PackInvariant::kClusterClock, strprintf("cluster %zu", ci),
+           strprintf("%zu distinct clocks in one cluster", clocks.size()));
+    }
   }
-  for (int c : ble_seen) AMDREL_CHECK_MSG(c == 1, "BLE not clustered exactly once");
+  for (std::size_t bi = 0; bi < ble_seen.size(); ++bi) {
+    if (ble_seen[bi] != 1) {
+      fail(PackInvariant::kCoverage, strprintf("BLE %zu", bi),
+           strprintf("clustered %d time(s), expected 1", ble_seen[bi]));
+    }
+  }
+  return found;
 }
 
 std::string PackedNetlist::stats() const {

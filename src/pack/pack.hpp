@@ -13,6 +13,7 @@
 
 #include "arch/arch.hpp"
 #include "netlist/network.hpp"
+#include "util/error.hpp"
 
 namespace amdrel::pack {
 
@@ -32,6 +33,17 @@ struct Cluster {
   std::vector<netlist::SignalId> output_signals;  ///< signals leaving
   netlist::SignalId clock = netlist::kNoSignal;
 };
+
+/// The packing legality invariants, numbered after the lint rules that
+/// report them (FL101–FL104).
+enum class PackInvariant {
+  kClusterSize = 101,    ///< a cluster holds more than N BLEs
+  kClusterInputs = 102,  ///< a cluster uses more than I external inputs
+  kClusterClock = 103,   ///< a cluster mixes clocks
+  kCoverage = 104,       ///< a LUT, FF or BLE not packed exactly once; an
+                         ///< empty BLE or one wider than K
+};
+using PackViolation = Violation<PackInvariant>;
 
 /// ECO reuse hints: clusters from a previous packing, named by the BLE
 /// output signals in slot order. Each hint is all-or-nothing — if every
@@ -71,9 +83,12 @@ class PackedNetlist {
   std::uint64_t absorbed_nets() const { return absorbed_nets_; }
   std::uint64_t rollbacks() const { return rollbacks_; }
 
-  /// Verifies every cluster obeys N/I/clock constraints and that every
-  /// LUT and FF of the network is packed exactly once. Throws on failure.
-  void validate() const;
+  /// Every violated packing invariant against spec() as it is now; empty
+  /// for a legal packing (the constructor guarantees one).
+  std::vector<PackViolation> violations() const;
+
+  /// Throws Error naming the first of violations().
+  void validate() const { throw_first(violations(), "packing"); }
 
  private:
   PackedNetlist(const netlist::Network& network, const arch::ArchSpec& spec,

@@ -4,12 +4,14 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <tuple>
 
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace amdrel::place {
 
@@ -723,23 +725,43 @@ Placement::AnnealStats Placement::anneal(const AnnealOptions& options) {
   return stats;
 }
 
-void Placement::validate() const {
+std::vector<PlaceViolation> Placement::violations() const {
+  std::vector<PlaceViolation> found;
+  const auto fail = [&](PlaceInvariant kind, std::size_t b,
+                        std::string message) {
+    found.push_back({kind, "block '" + blocks_[b].name + "'",
+                     std::move(message)});
+  };
   std::set<std::tuple<int, int, int>> used;
   for (std::size_t b = 0; b < blocks_.size(); ++b) {
     const Loc& l = locs_[b];
     if (blocks_[b].kind == BlockKind::kClb) {
-      AMDREL_CHECK_MSG(l.x >= 1 && l.x <= nx_ && l.y >= 1 && l.y <= ny_,
-                       "CLB off-grid");
+      if (l.x < 1 || l.x > nx_ || l.y < 1 || l.y > ny_) {
+        fail(PlaceInvariant::kOffGrid, b,
+             strprintf("CLB at (%d,%d) outside the %dx%d core", l.x, l.y,
+                       nx_, ny_));
+      }
     } else {
       const bool on_ring = (l.x == 0 || l.x == nx_ + 1) !=
                            (l.y == 0 || l.y == ny_ + 1);
-      AMDREL_CHECK_MSG(on_ring, "IO pad not on the perimeter ring");
-      AMDREL_CHECK_MSG(l.sub >= 0 && l.sub < spec_->io_per_tile,
-                       "bad pad sub-slot");
+      if (!on_ring) {
+        fail(PlaceInvariant::kOffGrid, b,
+             strprintf("IO pad at (%d,%d) not on the perimeter ring", l.x,
+                       l.y));
+      }
+      if (l.sub < 0 || l.sub >= spec_->io_per_tile) {
+        fail(PlaceInvariant::kOffGrid, b,
+             strprintf("pad sub-slot %d outside [0,%d)", l.sub,
+                       spec_->io_per_tile));
+      }
     }
-    auto key = std::make_tuple(l.x, l.y, l.sub);
-    AMDREL_CHECK_MSG(used.insert(key).second, "two blocks share a location");
+    if (!used.insert(std::make_tuple(l.x, l.y, l.sub)).second) {
+      fail(PlaceInvariant::kOverlap, b,
+           strprintf("location (%d,%d) slot %d already occupied", l.x, l.y,
+                     l.sub));
+    }
   }
+  return found;
 }
 
 netlist::Network reconstruct_network(const Placement& placement) {

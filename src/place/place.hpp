@@ -13,6 +13,7 @@
 
 #include "arch/arch.hpp"
 #include "pack/pack.hpp"
+#include "util/error.hpp"
 
 namespace amdrel::place {
 
@@ -35,6 +36,14 @@ struct Block {
   netlist::SignalId signal;   ///< pad signal (pads only)
   std::string name;
 };
+
+/// The placement legality invariants, numbered after the lint rules that
+/// report them (FL201–FL202).
+enum class PlaceInvariant {
+  kOverlap = 201,  ///< two blocks share a location
+  kOffGrid = 202,  ///< a CLB off the core, or a pad off the ring or slots
+};
+using PlaceViolation = Violation<PlaceInvariant>;
 
 /// A placed design: blocks, their locations, and the inter-block nets.
 class Placement {
@@ -103,8 +112,12 @@ class Placement {
   };
   AnnealStats anneal(const AnnealOptions& options);
 
-  /// Checks no two blocks share a location and all locations are legal.
-  void validate() const;
+  /// Every violated placement invariant; empty for a legal placement
+  /// (every anneal ends with one).
+  std::vector<PlaceViolation> violations() const;
+
+  /// Throws Error naming the first of violations().
+  void validate() const { throw_first(violations(), "placement"); }
 
   /// Every legal CLB / IO-pad location on this grid, in deterministic
   /// scan order (public so the ECO engine can assign freed slots).

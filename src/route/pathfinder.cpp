@@ -1232,44 +1232,84 @@ int minimum_channel_width_impl(const place::Placement& placement,
 
 }  // namespace
 
-void verify_routing(const RrGraph& graph, const place::Placement& placement,
-                    const RouteResult& result) {
-  AMDREL_CHECK_MSG(result.success, "verify_routing on a failed result");
+std::vector<RouteViolation> routing_violations(const RrGraph& graph,
+                                               const RouteResult& result) {
+  std::vector<RouteViolation> found;
   const int n_nodes = graph.num_nodes();
   std::vector<int> occupancy(static_cast<std::size_t>(n_nodes), 0);
   for (std::size_t ni = 0; ni < result.routes.size(); ++ni) {
     const NetRoute& r = result.routes[ni];
     const auto& sinks = graph.sinks_of_net(static_cast<int>(ni));
-    if (sinks.empty()) continue;
-    AMDREL_CHECK_MSG(!r.nodes.empty(), "net has no route");
-    // Tree structure: parent[0] == -1; all others valid.
-    AMDREL_CHECK(r.parent.size() == r.nodes.size());
-    AMDREL_CHECK_MSG(r.parent[0] == -1, "route tree root has a parent");
-    AMDREL_CHECK_MSG(r.nodes[0] == graph.opin_of_net(static_cast<int>(ni)),
-                     "route tree does not start at the net's OPIN");
+    if (sinks.empty()) continue;  // clock/degenerate nets are not routed
+    const auto fail = [&](RouteInvariant kind, std::string message) {
+      found.push_back({kind, strprintf("net %zu", ni), std::move(message)});
+    };
+    if (r.nodes.empty()) {
+      fail(RouteInvariant::kDisconnected, "net has no route");
+      continue;
+    }
+    bool structure_ok = r.parent.size() == r.nodes.size();
+    if (!structure_ok) {
+      fail(RouteInvariant::kDisconnected,
+           "route tree nodes/parents size mismatch");
+    } else if (r.parent[0] != -1) {
+      structure_ok = false;
+      fail(RouteInvariant::kDisconnected, "route tree root has a parent");
+    }
+    if (r.nodes[0] != graph.opin_of_net(static_cast<int>(ni))) {
+      fail(RouteInvariant::kDisconnected,
+           "route tree does not start at the net's OPIN");
+    }
+    if (structure_ok) {
+      for (std::size_t k = 1; k < r.nodes.size(); ++k) {
+        const int p = r.parent[k];
+        if (p < 0 || p >= static_cast<int>(k + 1)) {
+          fail(RouteInvariant::kDisconnected,
+               strprintf("node %zu has invalid parent index %d", k, p));
+          continue;
+        }
+        const int from = r.nodes[static_cast<std::size_t>(p)];
+        const int to = r.nodes[k];
+        if (from < 0 || from >= n_nodes || to < 0 || to >= n_nodes) {
+          fail(RouteInvariant::kBadEdge,
+               "route references a nonexistent RR node");
+          continue;
+        }
+        if (!graph.has_edge(from, to)) {
+          fail(RouteInvariant::kBadEdge,
+               strprintf("edge %d -> %d absent from the RR graph", from, to));
+        }
+      }
+    }
     std::set<int> in_tree(r.nodes.begin(), r.nodes.end());
-    for (std::size_t k = 1; k < r.nodes.size(); ++k) {
-      const int p = r.parent[k];
-      AMDREL_CHECK_MSG(p >= 0 && p < static_cast<int>(k + 1), "bad parent");
-      // Parent must actually be adjacent in the RR graph.
-      AMDREL_CHECK_MSG(
-          graph.has_edge(r.nodes[static_cast<std::size_t>(p)], r.nodes[k]),
-          "route uses a non-existent RR edge");
-    }
     for (int s : sinks) {
-      AMDREL_CHECK_MSG(in_tree.count(s), "route misses a sink");
+      if (!in_tree.count(s)) {
+        fail(RouteInvariant::kDisconnected,
+             strprintf("route misses sink node %d", s));
+      }
     }
-    for (int id : r.nodes) ++occupancy[static_cast<std::size_t>(id)];
+    for (int id : r.nodes) {
+      if (id >= 0 && id < n_nodes) ++occupancy[static_cast<std::size_t>(id)];
+    }
   }
   for (int id = 0; id < n_nodes; ++id) {
     // Capacity decode is per-id work; untouched nodes (capacity >= 1)
     // cannot be over.
-    if (occupancy[static_cast<std::size_t>(id)] <= 1) continue;
-    AMDREL_CHECK_MSG(
-        occupancy[static_cast<std::size_t>(id)] <= graph.node_capacity(id),
-        "RR node over capacity after routing");
+    const int occ = occupancy[static_cast<std::size_t>(id)];
+    if (occ <= 1) continue;
+    const int cap = graph.node_capacity(id);
+    if (occ > cap) {
+      found.push_back({RouteInvariant::kOveruse, strprintf("rr node %d", id),
+                       strprintf("occupancy %d exceeds capacity %d", occ,
+                                 cap)});
+    }
   }
-  (void)placement;
+  return found;
+}
+
+void verify_routing(const RrGraph& graph, const RouteResult& result) {
+  AMDREL_CHECK_MSG(result.success, "verify_routing on a failed result");
+  throw_first(routing_violations(graph, result), "routing");
 }
 
 }  // namespace amdrel::route

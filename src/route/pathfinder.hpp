@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "route/rr_graph.hpp"
+#include "util/error.hpp"
 
 namespace amdrel::route {
 
@@ -105,9 +106,21 @@ int minimum_channel_width(const place::Placement& placement,
                           const RouteOptions& options = {}, int w_min = 4,
                           int w_max = 128);
 
-/// Verifies a successful result: every net's tree is connected, reaches
-/// all its sinks, and no RR node exceeds its capacity. Throws on failure.
-void verify_routing(const RrGraph& graph, const place::Placement& placement,
-                    const RouteResult& result);
+/// The routing legality invariants, numbered after the lint rules that
+/// report them (FL301–FL303).
+enum class RouteInvariant {
+  kOveruse = 301,       ///< an RR node used beyond its capacity
+  kDisconnected = 302,  ///< not an OPIN-rooted tree reaching every sink
+  kBadEdge = 303,       ///< a tree edge, or node, absent from the RR graph
+};
+using RouteViolation = Violation<RouteInvariant>;
+
+/// Every violated routing invariant; empty for a legal routing.
+std::vector<RouteViolation> routing_violations(const RrGraph& graph,
+                                               const RouteResult& result);
+
+/// Verifies a successful result: throws Error naming the first of
+/// routing_violations().
+void verify_routing(const RrGraph& graph, const RouteResult& result);
 
 }  // namespace amdrel::route

@@ -332,6 +332,18 @@ std::int64_t Server::submit(const flow::JobSpec& spec) {
   }
   auto job = std::make_shared<Job>();
   job->spec = spec;
+  if (!spec.arch_text.empty()) {
+    // Elaborated here, through the cache: a bad DUTYS text is rejected
+    // at submit, before a worker could hang on it.
+    try {
+      job->spec.options.arch = cached_arch(spec.arch_text);
+    } catch (const Error& e) {
+      c_rejected.add(1);
+      push_event("rejected", 0, std::string("bad_job: ") + e.what());
+      throw;
+    }
+    job->spec.arch_text.clear();
+  }
   job->submitted_tp = steady_clock::now();
   {
     std::lock_guard<std::mutex> lock(jobs_mu_);
@@ -488,11 +500,6 @@ void Server::run_job(const std::shared_ptr<Job>& job) {
     job_span.metric("priority",
                     static_cast<double>(static_cast<int>(spec.priority)));
     try {
-      if (!spec.arch_text.empty()) {
-        // Shared read-only cache: parse each distinct DUTYS text once.
-        spec.options.arch = cached_arch(spec.arch_text);
-        spec.arch_text.clear();
-      }
       auto session = std::make_unique<flow::FlowSession>(spec);
       flow::FlowSession* raw = session.get();
       // The session carries the job's trace context onto whichever

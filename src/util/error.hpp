@@ -7,6 +7,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace amdrel {
 
@@ -47,6 +48,27 @@ class CancelledError : public Error {
  public:
   using Error::Error;
 };
+
+/// One broken legality invariant of a stage artifact, reported by the
+/// layer that builds the artifact: which invariant, the offending entity
+/// ("cluster 3", "net 12") and what is wrong with it.
+template <typename Kind>
+struct Violation {
+  Kind kind;
+  std::string object;
+  std::string message;
+};
+
+/// The throwing form of a layer's legality check: throws Error naming
+/// the first of `violations`, if any.
+template <typename Kind>
+void throw_first(const std::vector<Violation<Kind>>& violations,
+                 const char* artifact) {
+  if (violations.empty()) return;
+  throw Error(std::string(artifact) + " invariant violated: " +
+              violations.front().object + ": " +
+              violations.front().message);
+}
 
 namespace detail {
 [[noreturn]] void check_failed(const char* expr, const char* file, int line,

@@ -162,7 +162,9 @@ TEST(Eco, MixedEditMatchesFromScratchCompile) {
   EXPECT_GT(stats.nets_seeded, 0);
   EXPECT_GT(stats.reuse_ratio(), 0.5);
 
-  const flow::FlowResult scratch = flow::run_flow_from_network(edited, opt);
+  flow::FlowSession from_scratch(edited, opt);
+  ASSERT_EQ(from_scratch.resume(), flow::SessionState::kDone);
+  const flow::FlowResult& scratch = from_scratch.result();
   const netlist::Network eco_fabric =
       bitgen::decode_to_network(session.result().bitstream);
   const netlist::Network scratch_fabric =

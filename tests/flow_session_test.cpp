@@ -45,12 +45,20 @@ flow::FlowOptions fast_options() {
   return opt;
 }
 
+/// The reference run: every stage in one resume() call.
+flow::FlowResult one_shot(const netlist::Network& net,
+                          const flow::FlowOptions& opt) {
+  flow::FlowSession session(net, opt);
+  session.resume();
+  return session.take_result();
+}
+
 /// The determinism contract of the redesign: splitting the run at ANY
-/// stage boundary yields artifacts bit-identical to the one-shot wrapper.
+/// stage boundary yields artifacts bit-identical to a one-shot run.
 TEST(FlowSession, RunUntilPlusResumeMatchesOneShotAtEveryBoundary) {
   const auto net = small_design();
   const auto opt = fast_options();
-  const auto oneshot = flow::run_flow_from_network(net, opt);
+  const auto oneshot = one_shot(net, opt);
   ASSERT_GT(oneshot.bitstream_bytes.size(), 0u);
 
   for (int s = 0; s < flow::kNumStages; ++s) {
@@ -77,35 +85,6 @@ TEST(FlowSession, RunUntilPlusResumeMatchesOneShotAtEveryBoundary) {
     EXPECT_EQ(r.map_stats.luts, oneshot.map_stats.luts);
     EXPECT_DOUBLE_EQ(r.place_stats.final_cost, oneshot.place_stats.final_cost);
   }
-}
-
-TEST(FlowSession, VhdlEntryMatchesWrapper) {
-  const char* kVhdl = R"(
-entity blinker is
-  port ( clk : in std_logic;
-         rst : in std_logic;
-         q   : out std_logic_vector(2 downto 0) );
-end blinker;
-architecture rtl of blinker is
-  signal count : std_logic_vector(2 downto 0);
-begin
-  process(clk, rst)
-  begin
-    if rst = '1' then
-      count <= (others => '0');
-    elsif rising_edge(clk) then
-      count <= count + 1;
-    end if;
-  end process;
-  q <= count;
-end rtl;
-)";
-  const auto opt = fast_options();
-  const auto wrapper = flow::run_flow_from_vhdl(kVhdl, "blinker", opt);
-  flow::FlowSession session(kVhdl, "blinker", opt);
-  EXPECT_EQ(session.resume(), flow::SessionState::kDone);
-  EXPECT_EQ(session.result().bitstream_bytes, wrapper.bitstream_bytes);
-  EXPECT_EQ(session.result().channel_width, wrapper.channel_width);
 }
 
 TEST(FlowSession, StageMetricsCoverEveryStage) {
@@ -179,7 +158,7 @@ TEST(FlowSession, CancelDuringMinWidthSearchIsResumable) {
   auto opt = fast_options();
   opt.search_min_channel_width = true;
 
-  const auto oneshot = flow::run_flow_from_network(net, opt);
+  const auto oneshot = one_shot(net, opt);
 
   flow::FlowSession session(net, opt);
   CancelOnProbeSink sink(&session);
@@ -320,7 +299,7 @@ TEST(FlowSession, CancelFromAProbeWaveIsResumable) {
   const auto net = small_design();
   auto opt = fast_options();
   opt.search_min_channel_width = true;
-  const auto oneshot = flow::run_flow_from_network(net, opt);
+  const auto oneshot = one_shot(net, opt);
 
   // The cancel comes from an executor thread's probe while the session's
   // own thread is inside the same wave.
@@ -400,7 +379,7 @@ TEST(FlowSession, CancelAfterLastStageOfRequestIsStillObserved) {
 TEST(FlowSession, ConcurrentCancelRequestsNeverWedgeTheSession) {
   const auto net = small_design();
   const auto opt = fast_options();
-  const auto oneshot = flow::run_flow_from_network(net, opt);
+  const auto oneshot = one_shot(net, opt);
 
   // A finite storm of cancel() calls, spread over about as long as the
   // flow takes, races the resume loop. Each request cancels at most one
@@ -553,16 +532,6 @@ TEST(FlowSession, JobSpecSeedsRoundTripExactlyThroughJson) {
   EXPECT_THROW(flow::parse_job_spec_json(
                    R"({"source":"bench_gen","bench":{"seed":1e300}})"),
                Error);
-}
-
-TEST(FlowSession, WrappersStillProduceCompleteResults) {
-  // The documented thin wrappers remain the simple entry point.
-  auto result = flow::run_flow_from_network(small_design(), fast_options());
-  EXPECT_TRUE(result.routing.success);
-  EXPECT_GT(result.bitstream_bytes.size(), 0u);
-  for (int s = 0; s < flow::kNumStages; ++s) {
-    EXPECT_TRUE(result.stage_metrics[static_cast<std::size_t>(s)].ran);
-  }
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 
 #include "bench_gen/bench_gen.hpp"
 #include "bitgen/bitstream.hpp"
-#include "flow/flow.hpp"
+#include "flow/jobspec.hpp"
+#include "flow/session.hpp"
 #include "netlist/simulate.hpp"
 #include "power/power.hpp"
 #include "timing/timing.hpp"
@@ -37,10 +38,24 @@ begin
 end rtl;
 )";
 
+/// Runs every stage of a FlowSession over `net`.
+flow::FlowResult compile(const netlist::Network& net,
+                         const flow::FlowOptions& opt) {
+  flow::FlowSession session(net, opt);
+  session.resume();
+  return session.take_result();
+}
+
 TEST(Flow, VhdlToBitstreamWithVerification) {
-  flow::FlowOptions opt;
-  opt.verify_mode = flow::VerifyMode::kBoth;  // includes the formal bitstream proof
-  auto result = flow::run_flow_from_vhdl(kCounterVhdl, "counter", opt);
+  flow::JobSpec job;
+  job.source = flow::JobSpec::Source::kVhdl;
+  job.text = kCounterVhdl;
+  job.top = "counter";
+  // Includes the formal bitstream proof.
+  job.options.verify_mode = flow::VerifyMode::kBoth;
+  flow::FlowSession session(job);
+  session.run_until(job.until);
+  const flow::FlowResult& result = session.result();
   EXPECT_TRUE(result.routing.success);
   EXPECT_GT(result.bitstream_bytes.size(), 0u);
   EXPECT_GT(result.timing.fmax_hz, 1e6);
@@ -57,7 +72,7 @@ TEST(Flow, SyntheticDesignEndToEnd) {
   spec.seed = 77;
   auto net = bench_gen::generate(spec);
   flow::FlowOptions opt;
-  auto result = flow::run_flow_from_network(net, opt);
+  auto result = compile(net, opt);
   EXPECT_TRUE(result.routing.success);
   // Timing sanity: critical path within a plausible 0.18 µm range.
   EXPECT_GT(result.timing.critical_path_s, 0.5e-9);
@@ -76,7 +91,7 @@ TEST(Flow, MinChannelWidthMode) {
   auto net = bench_gen::generate(spec);
   flow::FlowOptions opt;
   opt.search_min_channel_width = true;
-  auto result = flow::run_flow_from_network(net, opt);
+  auto result = compile(net, opt);
   EXPECT_TRUE(result.routing.success);
   EXPECT_GT(result.channel_width, 0);
   EXPECT_LE(result.channel_width, 128);
@@ -93,7 +108,7 @@ TEST(Flow, ClockGatingReducesClockPower) {
   flow::FlowOptions opt;
   opt.power.input_activity = 0.05;  // mostly idle
   opt.verify_mode = flow::VerifyMode::kOff;
-  auto result = flow::run_flow_from_network(net, opt);
+  auto result = compile(net, opt);
   EXPECT_LT(result.power.clock_w, result.power.clock_ungated_w);
 }
 
@@ -108,7 +123,7 @@ TEST(Bitstream, SerializeRoundTrip) {
   auto net = bench_gen::generate(spec);
   flow::FlowOptions opt;
   opt.verify_mode = flow::VerifyMode::kOff;
-  auto result = flow::run_flow_from_network(net, opt);
+  auto result = compile(net, opt);
 
   const bitgen::Bitstream& b = result.bitstream;
   ASSERT_FALSE(b.clbs.empty());
@@ -140,7 +155,7 @@ TEST(Bitstream, DecodedFabricIsSequentiallyEquivalent) {
   auto net = bench_gen::generate(spec);
   flow::FlowOptions opt;
   opt.verify_mode = flow::VerifyMode::kOff;
-  auto result = flow::run_flow_from_network(net, opt);
+  auto result = compile(net, opt);
 
   auto fabric = bitgen::decode_to_network(result.bitstream);
   auto r = netlist::check_equivalence(*result.mapped, fabric, 6, 64);
@@ -154,7 +169,7 @@ TEST(Bitstream, RejectsCorruptedBytes) {
   auto net = bench_gen::generate(spec);
   flow::FlowOptions opt;
   opt.verify_mode = flow::VerifyMode::kOff;
-  auto result = flow::run_flow_from_network(net, opt);
+  auto result = compile(net, opt);
   auto bytes = result.bitstream_bytes;
   bytes[0] ^= 0xff;  // clobber magic
   EXPECT_THROW(bitgen::deserialize(bytes), Error);
@@ -170,7 +185,7 @@ TEST(Timing, NetDelaysArePositiveAndBounded) {
   auto net = bench_gen::generate(spec);
   flow::FlowOptions opt;
   opt.verify_mode = flow::VerifyMode::kOff;
-  auto result = flow::run_flow_from_network(net, opt);
+  auto result = compile(net, opt);
   auto delays = timing::compute_net_delays(*result.rr_graph,
                                            *result.placement, result.routing,
                                            opt.arch);
@@ -193,7 +208,7 @@ TEST(Power, ScalesWithFrequency) {
   auto net = bench_gen::generate(spec);
   flow::FlowOptions opt;
   opt.verify_mode = flow::VerifyMode::kOff;
-  auto result = flow::run_flow_from_network(net, opt);
+  auto result = compile(net, opt);
 
   power::PowerOptions p1, p2;
   p1.clock_hz = 50e6;

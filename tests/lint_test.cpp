@@ -1,15 +1,18 @@
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
+#include <set>
 #include <string>
 
-#include "flow/flow.hpp"
+#include "bench_gen/bench_gen.hpp"
+#include "flow/jobspec.hpp"
+#include "flow/session.hpp"
 #include "lint/flow_rules.hpp"
 #include "lint/lint.hpp"
 #include "lint/netlist_rules.hpp"
 #include "lint/rr_rules.hpp"
 #include "netlist/blif.hpp"
+#include "synth/lutmap.hpp"
+#include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace amdrel {
@@ -280,10 +283,16 @@ TEST(RrLint, InvalidEdgesFireRR005) {
   EXPECT_GE(report.count_rule(lint::rules::kRrInvalidEdge), 3);
 }
 
+/// The clean fixture through every stage, default options.
+flow::FlowResult small_flow() {
+  flow::FlowSession session(
+      netlist::read_blif_file(fixture("clean_small.blif")));
+  session.resume();
+  return session.take_result();
+}
+
 TEST(RrLint, GeneratedGraphIsClean) {
-  Network net = netlist::read_blif_file(fixture("clean_small.blif"));
-  flow::FlowOptions opt;
-  auto result = flow::run_flow_from_network(net, opt);
+  auto result = small_flow();
   Report report;
   lint::lint_rr_graph(*result.rr_graph, &report);
   EXPECT_TRUE(report.empty()) << report.to_text();
@@ -291,10 +300,25 @@ TEST(RrLint, GeneratedGraphIsClean) {
 
 // ---------- flow invariants ----------
 
-flow::FlowResult small_flow() {
-  Network net = netlist::read_blif_file(fixture("clean_small.blif"));
-  flow::FlowOptions opt;
-  return flow::run_flow_from_network(net, opt);
+// Each FL1xx–FL3xx seeded defect below goes through both paths of its
+// invariant: lint must fire exactly that rule, and the layer's throwing
+// validator (PackedNetlist::validate, Placement::validate,
+// route::verify_routing) must reject the same artifact.
+
+std::set<std::string> rules_fired(const Report& report) {
+  std::set<std::string> fired;
+  for (const auto& d : report.diagnostics()) fired.insert(d.rule);
+  return fired;
+}
+
+/// A mapped sequential design big enough to fill clusters.
+Network mapped_design(int k) {
+  bench_gen::BenchSpec spec;
+  spec.n_gates = 200;
+  spec.n_latches = 8;
+  spec.seed = 31;
+  return synth::map_to_luts(bench_gen::generate(spec),
+                            synth::LutMapOptions{k, 8});
 }
 
 TEST(FlowInvariants, CleanFlowPassesAllBarriers) {
@@ -311,13 +335,69 @@ TEST(FlowInvariants, PackAndPlaceOfCleanFlowReportNothing) {
   EXPECT_TRUE(report.empty()) << report.to_text();
 }
 
+// A PackedNetlist checks against its ArchSpec by pointer, so tightening
+// N or K after packing seeds the FL1xx defects.
+
+TEST(FlowInvariants, OverfullClusterFiresFL101) {
+  const Network mapped = mapped_design(4);
+  arch::ArchSpec spec;
+  const pack::PackedNetlist packed(mapped, spec);
+  // N=2 with K=8 keeps I = (K/2)(N+1) = 12 and every BLE within K.
+  spec.n = 2;
+  spec.k = 8;
+  Report report;
+  lint::check_post_pack(packed, &report);
+  EXPECT_EQ(rules_fired(report),
+            std::set<std::string>{lint::rules::kPackClusterSize});
+  EXPECT_THROW(packed.validate(), Error);
+}
+
+TEST(FlowInvariants, ClusterInputsBeyondIFireFL102) {
+  // 2-LUTs on the default CLB: five BLEs may read up to ten inputs.
+  const Network mapped = mapped_design(2);
+  arch::ArchSpec spec;
+  const pack::PackedNetlist packed(mapped, spec);
+  // K=2 cuts I to (K/2)(N+1) = 6 and leaves N and every BLE legal.
+  spec.k = 2;
+  Report report;
+  lint::check_post_pack(packed, &report);
+  EXPECT_EQ(rules_fired(report),
+            std::set<std::string>{lint::rules::kPackClusterInputs});
+  EXPECT_THROW(packed.validate(), Error);
+}
+
+TEST(FlowInvariants, BleWiderThanKFiresFL104) {
+  const Network mapped = mapped_design(4);
+  arch::ArchSpec spec;
+  const pack::PackedNetlist packed(mapped, spec);
+  // K=3 makes every 4-input BLE too wide; N=11 keeps I = 12.
+  spec.k = 3;
+  spec.n = 11;
+  Report report;
+  lint::check_post_pack(packed, &report);
+  EXPECT_EQ(rules_fired(report),
+            std::set<std::string>{lint::rules::kPackCoverage});
+  EXPECT_THROW(packed.validate(), Error);
+}
+
 TEST(FlowInvariants, OverlappingBlocksFireFL201) {
   auto result = small_flow();
-  ASSERT_GE(result.placement->blocks().size(), 2u);
-  result.placement->set_location(0, result.placement->location(1));
+  place::Placement& pl = *result.placement;
+  // Two pads, so the moved one stays on the ring: only the overlap is
+  // wrong.
+  std::vector<int> pads;
+  for (std::size_t b = 0; b < pl.blocks().size(); ++b) {
+    if (pl.blocks()[b].kind != place::BlockKind::kClb) {
+      pads.push_back(static_cast<int>(b));
+    }
+  }
+  ASSERT_GE(pads.size(), 2u);
+  pl.set_location(pads[0], pl.location(pads[1]));
   Report report;
-  lint::check_post_place(*result.placement, &report);
-  EXPECT_TRUE(report.fired(lint::rules::kPlaceOverlap));
+  lint::check_post_place(pl, &report);
+  EXPECT_EQ(rules_fired(report),
+            std::set<std::string>{lint::rules::kPlaceOverlap});
+  EXPECT_THROW(pl.validate(), Error);
 }
 
 TEST(FlowInvariants, OffGridBlockFiresFL202) {
@@ -325,7 +405,9 @@ TEST(FlowInvariants, OffGridBlockFiresFL202) {
   result.placement->set_location(0, place::Loc{-3, 7, 0});
   Report report;
   lint::check_post_place(*result.placement, &report);
-  EXPECT_TRUE(report.fired(lint::rules::kPlaceOffGrid));
+  EXPECT_EQ(rules_fired(report),
+            std::set<std::string>{lint::rules::kPlaceOffGrid});
+  EXPECT_THROW(result.placement->validate(), Error);
 }
 
 TEST(FlowInvariants, CorruptedRouteOveruseFiresFL301) {
@@ -348,7 +430,9 @@ TEST(FlowInvariants, CorruptedRouteOveruseFiresFL301) {
   ASSERT_TRUE(seeded) << "no wire node found in any route";
   Report report;
   lint::check_post_route(*result.rr_graph, corrupted, &report);
-  EXPECT_TRUE(report.fired(lint::rules::kRouteOveruse));
+  EXPECT_EQ(rules_fired(report),
+            std::set<std::string>{lint::rules::kRouteOveruse});
+  EXPECT_THROW(route::verify_routing(*result.rr_graph, corrupted), Error);
 }
 
 TEST(FlowInvariants, DroppedRouteFiresFL302) {
@@ -366,7 +450,32 @@ TEST(FlowInvariants, DroppedRouteFiresFL302) {
   ASSERT_TRUE(seeded);
   Report report;
   lint::check_post_route(*result.rr_graph, corrupted, &report);
-  EXPECT_TRUE(report.fired(lint::rules::kRouteDisconnected));
+  EXPECT_EQ(rules_fired(report),
+            std::set<std::string>{lint::rules::kRouteDisconnected});
+  EXPECT_THROW(route::verify_routing(*result.rr_graph, corrupted), Error);
+}
+
+TEST(FlowInvariants, EdgeAbsentFromGraphFiresFL303) {
+  auto result = small_flow();
+  const route::RrGraph& graph = *result.rr_graph;
+  route::RouteResult corrupted = result.routing;
+  // Re-hang one tree node on its net's OPIN, which has no edge to it.
+  bool seeded = false;
+  for (auto& r : corrupted.routes) {
+    for (std::size_t k = 1; k < r.nodes.size() && !seeded; ++k) {
+      if (r.parent[k] != 0 && !graph.has_edge(r.nodes[0], r.nodes[k])) {
+        r.parent[k] = 0;
+        seeded = true;
+      }
+    }
+    if (seeded) break;
+  }
+  ASSERT_TRUE(seeded);
+  Report report;
+  lint::check_post_route(graph, corrupted, &report);
+  EXPECT_EQ(rules_fired(report),
+            std::set<std::string>{lint::rules::kRouteBadEdge});
+  EXPECT_THROW(route::verify_routing(graph, corrupted), Error);
 }
 
 TEST(FlowInvariants, FlippedLutBitsFireFL401) {
@@ -402,15 +511,16 @@ TEST(FlowInvariants, TruncatedBitstreamFiresFL402) {
 // ---------- the clean-flow acceptance test ----------
 
 TEST(FlowInvariants, TrafficLightFlowLintsClean) {
-  std::ifstream in(fixture("traffic_light.vhd"));
-  ASSERT_TRUE(in.good());
-  std::stringstream ss;
-  ss << in.rdbuf();
-  flow::FlowOptions opt;
-  opt.check_invariants = true;
-  auto result = flow::run_flow_from_vhdl(ss.str(), "traffic", opt);
-  EXPECT_TRUE(result.routing.success);
-  EXPECT_TRUE(result.lint.empty()) << result.lint.to_text();
+  flow::JobSpec job;
+  job.source = flow::JobSpec::Source::kFile;
+  job.path = fixture("traffic_light.vhd");
+  job.top = "traffic";
+  job.options.check_invariants = true;
+  flow::FlowSession session(job);
+  session.run_until(job.until);
+  EXPECT_TRUE(session.result().routing.success);
+  EXPECT_TRUE(session.result().lint.empty())
+      << session.result().lint.to_text();
 }
 
 }  // namespace

@@ -64,6 +64,32 @@ TEST(Arch, RejectsBadFile) {
   EXPECT_THROW(arch::read_arch_string("lut_inputs 99\n"), ParseError);
 }
 
+TEST(Arch, RejectsBadValuesNamingTheLine) {
+  // Each of these once parsed, hung size_grid, or threw a bare
+  // std::invalid_argument ("stoi").
+  for (const char* bad :
+       {"io_per_tile 0\n", "io_per_tile -3\n", "lut_inputs abc\n",
+        "lut_inputs 4x\n", "fc_in nan\n", "fc_in -1\n", "fc_in 7\n",
+        "fc_out 0\n", "switch_width_x inf\n", "t_lut -1e-9\n",
+        "r_switch nan\n", "c_wire_tile -2e-15\n", "gated_clock_ble 2\n",
+        "channel_width 1\n", "cluster_size 0\n"}) {
+    const std::string text = std::string("# DUTYS\nname x\n") + bad;
+    try {
+      arch::read_arch_string(text);
+      ADD_FAILURE() << "accepted: " << bad;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), 3) << bad;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "not a ParseError for " << bad << ": " << e.what();
+    }
+  }
+  // The edges of each range stay legal.
+  const ArchSpec edge = arch::read_arch_string(
+      "io_per_tile 1\nfc_in 1\nfc_out 0.25\nt_lut 0\nr_switch 0\n");
+  EXPECT_EQ(edge.io_per_tile, 1);
+  EXPECT_DOUBLE_EQ(edge.fc_out, 0.25);
+}
+
 TEST(Pack, CombinationalDesign) {
   Network n = mapped_bench(300, 0, 21);
   ArchSpec spec;

@@ -173,7 +173,7 @@ TEST(Route, SmallDesignRoutes) {
   route::RrGraph graph(d.placement, d.spec, d.spec.channel_width);
   auto result = route::route_all(graph, d.placement);
   ASSERT_TRUE(result.success) << result.message;
-  route::verify_routing(graph, d.placement, result);
+  route::verify_routing(graph, result);
   EXPECT_GT(result.total_wire_nodes, 0);
 }
 
@@ -246,9 +246,9 @@ TEST(Route, IncrementalMatchesOracleRouter) {
     ASSERT_GT(w_inc, 0);
     EXPECT_EQ(w_inc, w_orc) << "seed " << seed;
     route::RrGraph g_inc(d.placement, d.spec, w_inc);
-    route::verify_routing(g_inc, d.placement, r_inc);
+    route::verify_routing(g_inc, r_inc);
     route::RrGraph g_orc(d.placement, d.spec, w_orc);
-    route::verify_routing(g_orc, d.placement, r_orc);
+    route::verify_routing(g_orc, r_orc);
   }
 }
 
@@ -266,8 +266,8 @@ TEST(Route, IncrementalRerouteIsLegalAtFixedWidth) {
     auto r_orc = route::route_all(graph, d.placement, orc);
     ASSERT_EQ(r_inc.success, r_orc.success) << "seed " << seed;
     if (r_inc.success) {
-      route::verify_routing(graph, d.placement, r_inc);
-      route::verify_routing(graph, d.placement, r_orc);
+      route::verify_routing(graph, r_inc);
+      route::verify_routing(graph, r_orc);
     }
   }
 }

@@ -131,7 +131,7 @@ TEST(RrDedup, RoutingResultIdentical) {
     EXPECT_EQ(r_dd.routes[i].nodes, r_dense.routes[i].nodes) << "net " << i;
     EXPECT_EQ(r_dd.routes[i].parent, r_dense.routes[i].parent) << "net " << i;
   }
-  route::verify_routing(dd, d.placement, r_dd);
+  route::verify_routing(dd, r_dd);
 }
 
 TEST(RrDedup, MinimumChannelWidthIdentical) {

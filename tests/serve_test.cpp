@@ -308,6 +308,36 @@ TEST(Serve, UndrivenSignalFailsOnlyThatJob) {
   server.shutdown(true);
 }
 
+/// A DUTYS text with no pad slots would size the grid forever inside a
+/// worker, out of cancel's reach; it is answered bad_job at submit, and
+/// the daemon keeps compiling.
+TEST(Serve, BadArchIsRejectedAtSubmit) {
+  Server server;
+  server.start();
+  Client client(server.port());
+  util::Json job = util::parse_json(quick_job_json(7));
+  job.set("arch", "io_per_tile 0\n");
+  util::Json submit = util::Json::make_object();
+  submit.set("cmd", "submit");
+  submit.set("job", std::move(job));
+  util::Json reply = client.request(submit.dump());
+  EXPECT_FALSE(reply.at("ok").as_bool()) << reply.dump();
+  EXPECT_EQ(reply.at("reason").as_string(), "bad_job") << reply.dump();
+  EXPECT_NE(reply.at("error").as_string().find("io_per_tile"),
+            std::string::npos)
+      << reply.dump();
+
+  reply = client.request("{\"cmd\":\"submit\",\"job\":" + quick_job_json(8) +
+                         "}");
+  ASSERT_TRUE(reply.at("ok").as_bool()) << reply.dump();
+  reply = client.request(
+      strprintf("{\"cmd\":\"result\",\"id\":%lld,\"wait\":true,"
+                "\"timeout_s\":120}",
+                static_cast<long long>(reply.at("id").as_int())));
+  EXPECT_EQ(reply.at("state").as_string(), "done") << reply.dump();
+  server.shutdown(true);
+}
+
 TEST(Serve, ShutdownDrainsInflightJobs) {
   ServeOptions options;
   options.workers = 2;

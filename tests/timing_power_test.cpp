@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "bench_gen/bench_gen.hpp"
-#include "flow/flow.hpp"
+#include "flow/session.hpp"
 #include "power/power.hpp"
 #include "timing/timing.hpp"
 
@@ -21,7 +21,9 @@ flow::FlowResult routed_design(int gates, int latches, std::uint64_t seed,
   options.arch = spec;
   options.verify_mode = flow::VerifyMode::kOff;
   options.search_min_channel_width = true;
-  return flow::run_flow_from_network(net, options);
+  flow::FlowSession session(net, options);
+  session.resume();
+  return session.take_result();
 }
 
 TEST(Timing, ElmoreDelayGrowsWithResistance) {
