@@ -517,13 +517,16 @@ SessionState FlowSession::resume_with_edit(const netlist::Network& edited,
       lint::check_post_bitgen(er.bitstream_bytes, *er.mapped, &result_.lint);
       barrier(result_.lint, "ECO recompile");
     }
-    // The safety net: prove the recompiled bitstream implements the
-    // edited netlist, and that its bytes carry exactly that bitstream,
-    // before committing anything.
+    // The safety net, before committing anything, in the flow's ledger
+    // order: the recompiled mapping implements the edited netlist (SAT:
+    // gates against LUTs; latch Q names survive mapping, so the checker's
+    // name match pins the registers), the recompiled bitstream implements
+    // that mapping (the same LUTs: settled by structural matching), and
+    // its bytes carry exactly that bitstream.
     if (options_.verify_mode != VerifyMode::kOff) {
-      // Latch Q names survive LUT mapping, so the map built from the
-      // recompiled packing/placement pins `edited`'s registers too.
-      verify_fabric("ECO recompile", edited, er.bitstream,
+      verify_handoff("ECO recompile (LUT mapping)", edited, *er.mapped,
+                     /*legacy_random_point=*/true);
+      verify_fabric("ECO recompile (fabric)", *er.mapped, er.bitstream,
                     fabric_register_map(*er.mapped, *er.packed,
                                         *er.placement));
       check_round_trip("ECO recompile", er.bitstream_bytes, er.bitstream);

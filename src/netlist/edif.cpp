@@ -20,6 +20,7 @@ struct SExpr {
   std::string atom;
   std::vector<SExpr> items;
   bool is_atom = false;
+  int line = 0;  ///< where the element starts
 
   const std::string& head() const {
     static const std::string empty;
@@ -88,8 +89,9 @@ class SExprParser {
     int c = peek();
     if (c == EOF) fail("unexpected end of file");
     if (c == '(') {
-      get();
       SExpr list;
+      list.line = line_;
+      get();
       for (;;) {
         skip_ws();
         c = peek();
@@ -105,6 +107,7 @@ class SExprParser {
     // Atom (possibly quoted string).
     SExpr atom;
     atom.is_atom = true;
+    atom.line = line_;
     if (c == '"') {
       get();
       for (;;) {
@@ -349,6 +352,80 @@ void write_edif_file(const Network& network, const std::string& path) {
 
 // -------------------------------------------------------------- reading --
 
+namespace {
+
+/// An interface port is an input unless its (direction ...) says other.
+bool is_input_port(const SExpr& port) {
+  const SExpr* dir = port.child("direction");
+  return dir == nullptr || iequals(dir->arg(), "INPUT");
+}
+
+/// Input ports on a primitive cell's interface.
+int count_input_ports(const SExpr& view) {
+  const SExpr* interface = view.child("interface");
+  if (interface == nullptr) return 0;
+  int n = 0;
+  for (const SExpr* port : interface->children("port")) {
+    if (is_input_port(*port)) ++n;
+  }
+  return n;
+}
+
+/// A LUT cell's truth property "N:hex": N inputs, equal to the cell's
+/// input port count and at most 16, then the table in hex with row 0 in
+/// the last digit's low bit (TruthTable::to_hex) and no bit set past row
+/// 2^N - 1.
+TruthTable parse_truth(const SExpr& str, int n_ports,
+                       const std::string& cell, const std::string& file) {
+  const std::string text = str.arg();
+  const auto fail = [&](const std::string& why) {
+    throw ParseError(file, str.line,
+                     "cell " + cell + ": truth '" + text + "': " + why);
+  };
+  const auto parts = split_char(text, ':');
+  if (parts.size() != 2) fail("expected 'N:hex'");
+  int n = 0;
+  try {
+    n = parse_int(parts[0], "input count");
+  } catch (const Error& e) {
+    fail(e.what());
+  }
+  if (n < 0 || n > 16) fail("input count must be in [0, 16]");
+  if (n != n_ports) {
+    fail(strprintf("%d inputs, but the cell has %d input ports", n,
+                   n_ports));
+  }
+  TruthTable t(n);
+  const std::string& hex = parts[1];
+  if (hex.empty() || hex.size() > (t.n_rows() + 3) / 4) {
+    fail(strprintf("expected 1 to %llu hex digits",
+                   static_cast<unsigned long long>((t.n_rows() + 3) / 4)));
+  }
+  for (std::size_t k = 0; k < hex.size(); ++k) {  // k-th digit from the end
+    const char c = hex[hex.size() - 1 - k];
+    if (!std::isxdigit(static_cast<unsigned char>(c))) {
+      fail(std::string("'") + c + "' is not a hex digit");
+    }
+    const int v = std::isdigit(static_cast<unsigned char>(c))
+                      ? c - '0'
+                      : 10 + (std::tolower(static_cast<unsigned char>(c)) -
+                              'a');
+    for (int b = 0; b < 4; ++b) {
+      if (((v >> b) & 1) == 0) continue;
+      const std::uint64_t row = 4 * k + static_cast<std::uint64_t>(b);
+      if (row >= t.n_rows()) {
+        fail(strprintf("bit of row %llu set, but the table has %llu rows",
+                       static_cast<unsigned long long>(row),
+                       static_cast<unsigned long long>(t.n_rows())));
+      }
+      t.set(row, true);
+    }
+  }
+  return t;
+}
+
+}  // namespace
+
 Network read_edif(std::istream& in, const std::string& filename) {
   SExprParser parser(in, filename);
   SExpr root = parser.parse();
@@ -391,25 +468,9 @@ Network read_edif(std::istream& in, const std::string& filename) {
       if (prop != nullptr && iequals(prop->arg(), "truth")) {
         const SExpr* str = prop->child("string");
         if (str != nullptr) {
-          // Format "N:hex".
-          auto parts = split_char(str->arg(), ':');
-          if (parts.size() == 2) {
-            int n = std::stoi(parts[0]);
-            TruthTable t(n);
-            // Parse hex, LSB nibble last character.
-            const std::string& hex = parts[1];
-            for (std::uint64_t row = 0; row < t.n_rows(); ++row) {
-              std::size_t nibble_index = static_cast<std::size_t>(row / 4);
-              if (nibble_index >= hex.size()) break;
-              char c = hex[hex.size() - 1 - nibble_index];
-              int v = std::isdigit(static_cast<unsigned char>(c))
-                          ? c - '0'
-                          : 10 + (std::tolower(c) - 'a');
-              t.set(row, (v >> (row % 4)) & 1);
-            }
-            info.table = t;
-            have_truth = true;
-          }
+          info.table = parse_truth(*str, count_input_ports(*view),
+                                   cell_name, filename);
+          have_truth = true;
         }
       }
       if (!have_truth) {
@@ -436,16 +497,7 @@ Network read_edif(std::istream& in, const std::string& filename) {
 
   std::vector<std::pair<std::string, bool>> ports;  // name, is_input
   for (const SExpr* port : interface->children("port")) {
-    const SExpr* dir = port->child("direction");
-    bool is_input =
-        dir == nullptr || iequals(dir->items.size() > 1 ? dir->items[1].atom
-                                                        : "",
-                                  "INPUT");
-    // direction may appear as (direction INPUT): items[1] atom.
-    if (dir != nullptr && dir->items.size() > 1 && dir->items[1].is_atom) {
-      is_input = iequals(dir->items[1].atom, "INPUT");
-    }
-    ports.push_back({port->arg(), is_input});
+    ports.push_back({port->arg(), is_input_port(*port)});
   }
 
   // Instances.

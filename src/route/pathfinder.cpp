@@ -158,6 +158,10 @@ class PathFinder {
     RouteResult result = run_impl(initial_history);
     result.nets_rerouted = rerouted_nets_;
     if (span.active()) {
+      // Which router ran at which width, so a span inside a min-W wave
+      // can be tied to its probe (route.minw_probe carries the same pair).
+      span.metric("width", graph_->channel_width());
+      span.metric("oracle", options_->incremental ? 0.0 : 1.0);
       span.metric("iterations", result.iterations);
       span.metric("ripups", static_cast<double>(ripups_));
       span.metric("overused", last_overused_);

@@ -52,10 +52,27 @@ void read_place_file(std::istream& in, Placement* placement,
     if (block < 0) {
       throw ParseError(filename, lineno, "unknown block: " + tokens[0]);
     }
+    // Each coordinate is parsed whole and kept on the device grid (the
+    // core plus its IO ring), so a bad one names its line.
+    const auto coord = [&](const std::string& text, const char* what,
+                           int hi) {
+      int v = 0;
+      try {
+        v = parse_int(text, what);
+      } catch (const Error& e) {
+        throw ParseError(filename, lineno, e.what());
+      }
+      if (v < 0 || v > hi) {
+        throw ParseError(filename, lineno,
+                         strprintf("%s must be in [0, %d], got %d", what, hi,
+                                   v));
+      }
+      return v;
+    };
     Loc loc;
-    loc.x = std::stoi(tokens[1]);
-    loc.y = std::stoi(tokens[2]);
-    loc.sub = std::stoi(tokens[3]);
+    loc.x = coord(tokens[1], "x", placement->nx() + 1);
+    loc.y = coord(tokens[2], "y", placement->ny() + 1);
+    loc.sub = coord(tokens[3], "subblk", placement->spec().io_per_tile - 1);
     placement->set_location(block, loc);
     ++applied;
   }

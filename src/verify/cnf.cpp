@@ -1,6 +1,7 @@
 #include "verify/cnf.hpp"
 
 #include "util/error.hpp"
+#include "verify/table6.hpp"
 
 namespace amdrel::verify {
 
@@ -10,30 +11,10 @@ using netlist::Gate;
 using netlist::Network;
 using netlist::SignalId;
 using netlist::TruthTable;
-
-/// Rows where variable i is 1, for a 64-row (six-variable) table.
-constexpr std::uint64_t kVarMask[6] = {
-    0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
-    0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
-
-std::uint64_t cofactor0(std::uint64_t t, int v) {
-  const std::uint64_t lo = t & ~kVarMask[v];
-  return lo | (lo << (1 << v));
-}
-
-std::uint64_t cofactor1(std::uint64_t t, int v) {
-  const std::uint64_t hi = t & kVarMask[v];
-  return hi | (hi >> (1 << v));
-}
-
-/// The low 2^n rows of `word`, repeated to fill 64 rows, so the table
-/// reads the same for any value of variables n..5.
-std::uint64_t replicate(std::uint64_t word, int n) {
-  if (n >= 6) return word;
-  word &= (1ull << (1 << n)) - 1;
-  for (int i = n; i < 6; ++i) word |= word << (1 << i);
-  return word;
-}
+using table6::cofactor0;
+using table6::cofactor1;
+using table6::kVarMask;
+using table6::replicate;
 
 /// Minato–Morreale irredundant sum of products for any function between
 /// `lower` and `upper` over variables 0..n_vars-1. Appends the cubes and

@@ -15,6 +15,7 @@
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "verify/cnf.hpp"
+#include "verify/strash.hpp"
 
 namespace amdrel::verify {
 
@@ -358,6 +359,9 @@ struct SweepEntry {
 
 struct Obligation {
   std::string label;
+  SignalId sig_a = netlist::kNoSignal;
+  SignalId sig_b = netlist::kNoSignal;
+  bool structural = false;  ///< both sides hash to one class: proven
   Var var_a = -1;
   Var var_b = -1;
 };
@@ -491,6 +495,10 @@ class EquivChecker {
     }
     result.matched_registers = static_cast<int>(candidates.front().size());
 
+    // One topological order per network, shared by the structural pass
+    // and the sweep of every candidate bijection.
+    topo_a_ = a_.topo_order();
+    topo_b_ = b_.topo_order();
     std::optional<EquivResult> refuted;
     for (const auto& pairs : candidates) {
       EquivResult attempt = result;
@@ -521,11 +529,6 @@ class EquivChecker {
   /// this bijection; kUnknown means budget exhaustion (give up overall).
   EquivStatus prove_with_pairs(const std::vector<std::pair<int, int>>& pairs,
                                EquivResult* result) {
-    solver_ = Solver();
-    pi_vars_.clear();
-    reg_vars_.clear();
-    latch_b_of_a_.clear();
-
     for (const auto& [ia, ib] : pairs) {
       const Latch& la = a_.latches()[static_cast<std::size_t>(ia)];
       const Latch& lb = b_.latches()[static_cast<std::size_t>(ib)];
@@ -539,7 +542,33 @@ class EquivChecker {
       }
     }
 
+    // ---- proof obligations: POs, then next-state functions ----
+    std::vector<Obligation> obligations;
+    for (const auto& name : names_of(a_, a_.outputs())) {
+      obligations.push_back({name, a_.find_signal(name), b_.find_signal(name)});
+    }
+    for (const auto& [ia, ib] : pairs) {
+      const Latch& la = a_.latches()[static_cast<std::size_t>(ia)];
+      const Latch& lb = b_.latches()[static_cast<std::size_t>(ib)];
+      obligations.push_back(
+          {std::string(kNextStatePrefix) + la.name + ")", la.d, lb.d});
+    }
+
+    // ---- structural matching: no solver when every obligation matches ----
+    const auto t_struct = Clock::now();
+    result->structural_outputs = match_structurally(pairs, &obligations);
+    result->proved_outputs = result->structural_outputs;
+    agg_stats_.struct_s +=
+        std::chrono::duration<double>(Clock::now() - t_struct).count();
+    if (result->structural_outputs == static_cast<int>(obligations.size())) {
+      return proven(result);
+    }
+
     // ---- encode the miter over shared leaves ----
+    solver_ = Solver();
+    pi_vars_.clear();
+    reg_vars_.clear();
+    latch_b_of_a_.clear();
     resize_signal_vars(a_, &vars_a_);
     resize_signal_vars(b_, &vars_b_);
     for (const SignalId s : a_.inputs()) {
@@ -562,19 +591,9 @@ class EquivChecker {
     encode_network(a_, &solver_, &vars_a_);
     encode_network(b_, &solver_, &vars_b_);
 
-    // ---- proof obligations: POs, then next-state functions ----
-    std::vector<Obligation> obligations;
-    for (const auto& name : names_of(a_, a_.outputs())) {
-      obligations.push_back(
-          {name, ensure_var(&solver_, &vars_a_, a_.find_signal(name)),
-           ensure_var(&solver_, &vars_b_, b_.find_signal(name))});
-    }
-    for (const auto& [ia, ib] : pairs) {
-      const Latch& la = a_.latches()[static_cast<std::size_t>(ia)];
-      const Latch& lb = b_.latches()[static_cast<std::size_t>(ib)];
-      obligations.push_back({std::string(kNextStatePrefix) + la.name + ")",
-                             ensure_var(&solver_, &vars_a_, la.d),
-                             ensure_var(&solver_, &vars_b_, lb.d)});
+    for (Obligation& ob : obligations) {
+      ob.var_a = ensure_var(&solver_, &vars_a_, ob.sig_a);
+      ob.var_b = ensure_var(&solver_, &vars_b_, ob.sig_b);
     }
 
     // ---- SAT sweeping ----
@@ -592,14 +611,59 @@ class EquivChecker {
     return status;
   }
 
+  /// Hashes both networks into shared classes over this bijection's
+  /// leaves — PIs by name, each matched Q pair as one class — and marks
+  /// every obligation whose two sides fall in one class. Returns how many.
+  int match_structurally(const std::vector<std::pair<int, int>>& pairs,
+                         std::vector<Obligation>* obligations) {
+    StructuralHash hash;
+    constexpr int kNone = StructuralHash::kNone;
+    std::vector<int> cls_a(static_cast<std::size_t>(a_.num_signals()), kNone);
+    std::vector<int> cls_b(static_cast<std::size_t>(b_.num_signals()), kNone);
+    const auto share = [&](SignalId sa, SignalId sb) {
+      const int c = hash.fresh();
+      cls_a[static_cast<std::size_t>(sa)] = c;
+      cls_b[static_cast<std::size_t>(sb)] = c;
+    };
+    for (const SignalId s : a_.inputs()) {
+      share(s, b_.find_signal(a_.signal_name(s)));
+    }
+    for (const auto& [ia, ib] : pairs) {
+      share(a_.latches()[static_cast<std::size_t>(ia)].q,
+            b_.latches()[static_cast<std::size_t>(ib)].q);
+    }
+    if (!hash.classify(a_, topo_a_, &cls_a) ||
+        !hash.classify(b_, topo_b_, &cls_b)) {
+      return 0;
+    }
+    int matched = 0;
+    for (Obligation& ob : *obligations) {
+      const int c = cls_a[static_cast<std::size_t>(ob.sig_a)];
+      ob.structural =
+          c != kNone && c == cls_b[static_cast<std::size_t>(ob.sig_b)];
+      matched += ob.structural ? 1 : 0;
+    }
+    return matched;
+  }
+
+  EquivStatus proven(EquivResult* result) const {
+    result->status = EquivStatus::kEquivalent;
+    result->message = strprintf(
+        "%d output(s) and %d next-state function(s) proven equivalent",
+        static_cast<int>(names_of(a_, a_.outputs()).size()),
+        result->matched_registers);
+    return result->status;
+  }
+
   /// The output and next-state miters, two assumption-activated solves
-  /// per obligation; a SAT answer becomes a replayed counterexample.
+  /// per obligation the structural pass left open; a SAT answer becomes a
+  /// replayed counterexample.
   EquivStatus prove_obligations(const std::vector<Obligation>& obligations,
                                 EquivResult* result) {
     solver_.set_conflict_budget(options_.conflict_limit);
     solver_.set_deadline(deadline_);
-    result->proved_outputs = 0;
     for (const Obligation& ob : obligations) {
+      if (ob.structural) continue;
       for (const int phase : {0, 1}) {
         const Solver::Result r = solver_.solve(
             {mk_lit(ob.var_a, phase == 1), mk_lit(ob.var_b, phase == 0)});
@@ -618,12 +682,7 @@ class EquivChecker {
       }
       ++result->proved_outputs;
     }
-    result->status = EquivStatus::kEquivalent;
-    result->message = strprintf(
-        "%d output(s) and %d next-state function(s) proven equivalent",
-        static_cast<int>(names_of(a_, a_.outputs()).size()),
-        result->matched_registers);
-    return result->status;
+    return proven(result);
   }
 
   void accumulate_stats() {
@@ -658,11 +717,12 @@ class EquivChecker {
     // Signature per (net, signal): n_words words, canonicalized.
     std::map<std::vector<std::uint64_t>, std::vector<SweepEntry>> buckets;
     const Network* nets[2] = {&a_, &b_};
+    const std::vector<int>* topos[2] = {&topo_a_, &topo_b_};
     const SignalVars* vars[2] = {&vars_a_, &vars_b_};
     for (int ni = 0; ni < 2; ++ni) {
       const Network& net = *nets[ni];
       const auto n_signals = static_cast<std::size_t>(net.num_signals());
-      const std::vector<int> topo = net.topo_order();
+      const std::vector<int>& topo = *topos[ni];
       const std::vector<int> depth = signal_depths(net, topo);
       std::vector<char> driven(n_signals, 0);
       for (const auto& g : net.gates()) {
@@ -881,6 +941,7 @@ class EquivChecker {
   std::vector<std::pair<std::string, Var>> pi_vars_;
   std::vector<std::pair<std::string, Var>> reg_vars_;  ///< by A latch name
   std::map<int, int> latch_b_of_a_;
+  std::vector<int> topo_a_, topo_b_;
 };
 
 EquivResult prove_equivalence(const Network& a, const Network& b,
@@ -892,6 +953,7 @@ EquivResult prove_equivalence(const Network& a, const Network& b,
   static obs::Counter& c_decisions = obs::counter("verify.sat_decisions");
   static obs::Counter& c_props = obs::counter("verify.sat_propagations");
   static obs::Counter& c_us = obs::counter("verify.sat_us");
+  static obs::Counter& c_struct = obs::counter("verify.struct_proved");
   obs::Span span("verify.formal");
   EquivResult res = EquivChecker(a, b, options).run();
   const SatStats& st = res.stats;
@@ -902,12 +964,16 @@ EquivResult prove_equivalence(const Network& a, const Network& b,
   c_decisions.add(st.decisions);
   c_props.add(st.propagations);
   c_us.add(static_cast<std::uint64_t>(st.wall_s * 1e6));
+  c_struct.add(static_cast<std::uint64_t>(res.structural_outputs));
   if (span.active()) {
     span.metric("sat_vars", static_cast<double>(st.vars));
     span.metric("sat_clauses", static_cast<double>(st.clauses));
     span.metric("sat_conflicts", static_cast<double>(st.conflicts));
     span.metric("proved_outputs", static_cast<double>(res.proved_outputs));
     span.metric("merged_points", static_cast<double>(res.merged_points));
+    span.metric("structural_outputs",
+                static_cast<double>(res.structural_outputs));
+    span.metric("struct_s", st.struct_s);
     span.metric("sweep_s", st.sweep_s);
     span.metric("miter_s", st.miter_s);
     span.metric("sweep_solves", static_cast<double>(st.sweep_solves));
@@ -925,7 +991,7 @@ std::string EquivResult::to_text() const {
   os << strprintf(
       "sat: %d vars, %d clauses, %llu conflicts, %llu decisions, %llu "
       "propagations, %llu learned, %llu restarts, %llu solves, %d merges, "
-      "%.3f s (seed %llu)\n",
+      "%d structural, %.3f s (seed %llu)\n",
       stats.vars, stats.clauses,
       static_cast<unsigned long long>(stats.conflicts),
       static_cast<unsigned long long>(stats.decisions),
@@ -933,7 +999,7 @@ std::string EquivResult::to_text() const {
       static_cast<unsigned long long>(stats.learned_clauses),
       static_cast<unsigned long long>(stats.restarts),
       static_cast<unsigned long long>(stats.solves), merged_points,
-      stats.wall_s, static_cast<unsigned long long>(seed));
+      structural_outputs, stats.wall_s, static_cast<unsigned long long>(seed));
   return os.str();
 }
 
@@ -945,6 +1011,7 @@ util::Json EquivResult::to_json() const {
   out.set("matched_registers", matched_registers);
   out.set("proved_outputs", proved_outputs);
   out.set("merged_points", merged_points);
+  out.set("structural_outputs", structural_outputs);
   util::Json sat = util::Json::make_object();
   sat.set("vars", stats.vars);
   sat.set("clauses", stats.clauses);

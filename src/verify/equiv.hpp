@@ -14,6 +14,14 @@
 // that is minimized and replayed through the two-value simulator before
 // the pair is declared non-equivalent.
 //
+// Before any CNF is built, a structural pass (verify/strash.hpp) hashes
+// both networks into shared functional classes over the same leaves (PIs
+// by name, matched Q pairs) and counts every obligation whose two sides
+// fall in one class as proven. When all of them match — a round trip, a
+// packing, a placement or a fabric decode of the same LUTs — the proof
+// ends there without a solver; otherwise the SAT path below proves the
+// obligations left open.
+//
 // Before the output miters run, a SAT-sweeping pass merges internal
 // equivalence candidates (random simulation signatures evaluated
 // word-parallel from each gate's prime cover, conflict-limited pairwise
@@ -25,8 +33,8 @@
 // skipped.
 //
 // Each prove_equivalence() call emits one `verify.formal` trace span
-// (SAT size and effort, the sweep/miter time split) and adds to the
-// `verify.*` registry counters, whichever tool calls it.
+// (SAT size and effort, the structural/sweep/miter time split) and adds
+// to the `verify.*` registry counters, whichever tool calls it.
 
 #include <cstdint>
 #include <optional>
@@ -51,6 +59,7 @@ struct SatStats {
   std::uint64_t learned_clauses = 0;
   std::uint64_t solves = 0;
   double wall_s = 0.0;
+  double struct_s = 0.0;            ///< structural matching
   double sweep_s = 0.0;             ///< SAT sweeping, signatures included
   double miter_s = 0.0;             ///< output miters and counterexample
   std::uint64_t sweep_solves = 0;   ///< sweep SAT calls
@@ -101,7 +110,8 @@ struct EquivResult {
   std::uint64_t seed = 0;    ///< RNG seed the check ran with (reproducibility)
   SatStats stats;
   int matched_registers = 0;
-  int proved_outputs = 0;    ///< output + next-state pairs proven UNSAT
+  int proved_outputs = 0;    ///< output + next-state pairs proven
+  int structural_outputs = 0;  ///< of those, settled by structural matching
   int merged_points = 0;     ///< internal pairs merged by SAT sweeping
   std::optional<Counterexample> cex;
 

@@ -1,6 +1,7 @@
 #include "vhdl/parser.hpp"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -148,9 +149,26 @@ class Parser {
   long long parse_static_int() {
     bool neg = accept_sym("-");
     if (cur().kind != TokenKind::kInteger) fail("expected integer");
-    long long v = std::stoll(cur().text);
+    const long long v = integer_literal();
     advance();
     return neg ? -v : v;
+  }
+
+  /// The value of the current integer literal (digits only: the lexer
+  /// drops underscores). A literal past the 64-bit signed range is a
+  /// ParseError naming its line.
+  long long integer_literal() const {
+    std::uint64_t v = 0;
+    try {
+      v = parse_u64(cur().text, "integer literal");
+    } catch (const Error&) {
+      fail("integer literal out of range");
+    }
+    if (v > static_cast<std::uint64_t>(
+                std::numeric_limits<long long>::max())) {
+      fail("integer literal out of range");
+    }
+    return static_cast<long long>(v);
   }
 
   // --------------------------------------------------------------- entity --
@@ -615,7 +633,7 @@ class Parser {
     }
     if (cur().kind == TokenKind::kInteger) {
       auto e = Expr::make(ExprKind::kIntLit, line);
-      e->value = std::stoll(cur().text);
+      e->value = integer_literal();
       advance();
       return e;
     }

@@ -312,6 +312,9 @@ TEST(Eco, RefutedEditKeepsLastProvenBitstream) {
     } catch (const InfeasibleError& e) {
       const std::string what = e.what();
       EXPECT_NE(what.find("ECO recompile"), std::string::npos) << what;
+      // The patch mapping is what broke, and its own proof says so.
+      EXPECT_NE(what.find("ECO recompile (LUT mapping)"), std::string::npos)
+          << what;
       EXPECT_NE(what.find("miter satisfiable at 'po1'"), std::string::npos)
           << what;
       EXPECT_NE(what.find("counterexample: output 'po1'"), std::string::npos)

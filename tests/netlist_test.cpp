@@ -289,6 +289,77 @@ TEST(Edif, RejectsGarbage) {
   EXPECT_THROW(read_edif_string("((("), ParseError);
 }
 
+TEST(Edif, BadTruthPropertiesNameTheirLine) {
+  // A LUT cell's "N:hex" truth property: N must parse, lie in [0, 16] and
+  // match the cell's input ports, every digit must be hex and no bit may
+  // address a row past the table. Each bad one is a ParseError naming the
+  // property's line. An input port with no (direction ...) counts as an
+  // input, as it does on the design's interface.
+  const auto edif = [](int n_ports, const std::string& truth,
+                       bool directions = true) {
+    std::string lut_ports;
+    std::string pin[2];
+    for (int i = 0; i < n_ports; ++i) {
+      lut_ports += " (port I";
+      lut_ports += std::to_string(i);
+      if (directions) lut_ports += " (direction INPUT)";
+      lut_ports += ')';
+      pin[i] = " (portRef I";
+      pin[i] += std::to_string(i);
+      pin[i] += " (instanceRef g))";
+    }
+    return "(edif t\n"
+           " (library PRIMS\n"
+           "  (cell LUT_x (cellType GENERIC)\n"
+           "   (view netlist (viewType NETLIST)\n"
+           "    (interface" +
+           lut_ports +
+           " (port O (direction OUTPUT)))\n"
+           "    (property truth (string \"" +
+           truth +
+           "\")))))\n"
+           " (library DESIGNS\n"
+           "  (cell t (cellType GENERIC)\n"
+           "   (view netlist (viewType NETLIST)\n"
+           "    (interface (port a (direction INPUT))\n"
+           "     (port b (direction INPUT)) (port y (direction OUTPUT)))\n"
+           "    (contents\n"
+           "     (instance g (viewRef netlist (cellRef LUT_x)))\n"
+           "     (net a (joined (portRef a)" +
+           pin[0] +
+           "))\n"
+           "     (net b (joined (portRef b)" +
+           pin[1] +
+           "))\n"
+           "     (net y (joined (portRef y) (portRef O (instanceRef g))))))))\n"
+           " (design t (cellRef t (libraryRef DESIGNS))))\n";
+  };
+  const auto table_of = [](const Network& net) {
+    EXPECT_EQ(net.gates().size(), 1u);
+    return net.gates().at(0).table;
+  };
+  EXPECT_TRUE(table_of(read_edif_string(edif(2, "2:8"))) ==
+              TruthTable::and_n(2));
+  EXPECT_TRUE(table_of(read_edif_string(edif(2, "2:8", false))) ==
+              TruthTable::and_n(2));
+  EXPECT_TRUE(table_of(read_edif_string(edif(1, "1:2"))) ==
+              TruthTable::identity());
+  EXPECT_TRUE(table_of(read_edif_string(edif(0, "0:1"))) ==
+              TruthTable::constant(true));
+  const std::vector<std::pair<int, const char*>> bad = {
+      {2, "x2:8"}, {2, "99:8"}, {2, "3:80"}, {2, "2:!"},
+      {2, "2:88"}, {2, "2"},    {0, "0:2"},  {1, "1:e"}};
+  for (const auto& [n_ports, truth] : bad) {
+    SCOPED_TRACE(truth);
+    try {
+      read_edif_string(edif(n_ports, truth));
+      ADD_FAILURE() << "accepted";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), 6);
+    }
+  }
+}
+
 TEST(Edif, LutCellsCarryTruthTables) {
   // A 4-input gate that is no standard cell must round-trip via the
   // truth property.

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <mutex>
 #include <ostream>
+#include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_gen/bench_gen.hpp"
@@ -297,6 +300,10 @@ class MinwSink : public obs::Sink {
                                  metric(e, "success") != 0.0,
                                  metric(e, "oracle") != 0.0});
     } else if (e.kind == obs::Event::Kind::kSpanEnd &&
+               std::strcmp(e.name, "route.pathfinder") == 0) {
+      runs.emplace_back(static_cast<int>(metric(e, "width")),
+                        metric(e, "oracle") != 0.0);
+    } else if (e.kind == obs::Event::Kind::kSpanEnd &&
                std::strcmp(e.name, "route.minw_search") == 0) {
       probes = metric(e, "probes");
       spec_probes = metric(e, "spec_probes");
@@ -314,6 +321,8 @@ class MinwSink : public obs::Sink {
   }
 
   std::vector<Verdict> verdicts;
+  /// (width, oracle) of every route.pathfinder span, launched or read.
+  std::vector<std::pair<int, bool>> runs;
   double probes = -1, spec_probes = -1, spec_abandoned = -1;
 
  private:
@@ -437,6 +446,27 @@ TEST(Route, ConcurrentMinWidthSearchesShareTheExecutor) {
   expect_same_routes(rb, rb1);
 }
 
+TEST(Route, EveryConsumedProbeHasItsPathfinderSpan) {
+  // A route.pathfinder span names its width and router, so a span run
+  // inside a wave can be tied to the probe whose verdict was read.
+  Design d(160, 8, 77);
+  d.placement.anneal(place::Placement::AnnealOptions{});
+  route::RouteResult r;
+  MinwSink sink;
+  ASSERT_GT(traced_search(d, 4, &r, &sink), 0);
+  ASSERT_FALSE(sink.verdicts.empty());
+  bool explorer = false, oracle = false;
+  for (const Verdict& v : sink.verdicts) {
+    EXPECT_NE(std::find(sink.runs.begin(), sink.runs.end(),
+                        std::make_pair(v.width, v.oracle)),
+              sink.runs.end())
+        << v;
+    (v.oracle ? oracle : explorer) = true;
+  }
+  EXPECT_TRUE(explorer && oracle);
+  for (const auto& [width, is_oracle] : sink.runs) EXPECT_GT(width, 0);
+}
+
 TEST(RouteFiles, PlaceFileRoundTrip) {
   Design d(150, 8, 40);
   place::Placement::AnnealOptions popt;
@@ -455,6 +485,36 @@ TEST(RouteFiles, PlaceFileRejectsGarbage) {
   EXPECT_THROW(route::read_place_string("nonsense 1 2 3\n", &d.placement),
                Error);
   EXPECT_THROW(route::read_place_string("", &d.placement), Error);
+}
+
+TEST(RouteFiles, PlaceFileCoordinatesAreParseErrors) {
+  Design d(80, 0, 41);
+  // The first block line of a written .place file, then its coordinates
+  // replaced: not a number, past int, off the grid.
+  const std::string text = route::write_place_string(d.placement);
+  std::istringstream in(text);
+  std::string line, name;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#' ||
+        line.find(':') != std::string::npos) {
+      continue;
+    }
+    name = line.substr(0, line.find_first_of(" \t"));
+    break;
+  }
+  ASSERT_FALSE(name.empty());
+  for (const std::string& coords :
+       {std::string("x1 1 0"), std::string("1 99999999999 0"),
+        std::string("1 1 -1"), std::string("1 100000 0")}) {
+    SCOPED_TRACE(coords);
+    try {
+      route::read_place_string("# header\n" + name + " " + coords + "\n",
+                               &d.placement);
+      ADD_FAILURE() << "accepted";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), 2);
+    }
+  }
 }
 
 TEST(RouteFiles, RouteFileListsEveryNet) {

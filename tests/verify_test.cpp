@@ -22,12 +22,15 @@
 #include "netlist/simulate.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
+#include "pack/pack.hpp"
+#include "place/place.hpp"
 #include "synth/lutmap.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "verify/cnf.hpp"
 #include "verify/equiv.hpp"
 #include "verify/solver.hpp"
+#include "verify/strash.hpp"
 
 namespace amdrel {
 namespace {
@@ -302,15 +305,286 @@ TEST(ProveEquivalence, EmitsOneSpanWithSweepAndMiterSplit) {
   for (const char* key :
        {"sat_vars", "sat_clauses", "sat_conflicts", "proved_outputs",
         "merged_points", "sweep_s", "miter_s", "sweep_solves",
-        "sweep_pruned"}) {
+        "sweep_pruned", "structural_outputs", "struct_s"}) {
     EXPECT_EQ(span.metrics.count(key), 1u) << key;
   }
   EXPECT_EQ(span.metrics.at("proved_outputs"), result.proved_outputs);
   EXPECT_EQ(span.metrics.at("merged_points"), result.merged_points);
+  EXPECT_EQ(span.metrics.at("structural_outputs"),
+            result.structural_outputs);
   EXPECT_GT(span.metrics.at("sweep_solves"), 0.0);
   EXPECT_GT(span.metrics.at("sweep_s"), 0.0);
-  EXPECT_LE(span.metrics.at("sweep_s") + span.metrics.at("miter_s"),
+  EXPECT_LE(span.metrics.at("struct_s") + span.metrics.at("sweep_s") +
+                span.metrics.at("miter_s"),
             span.dur_s);
+}
+
+// ------------------------------------------------------ structural hash
+
+/// The key rules: inputs permuted, duplicated, unused or constant, and a
+/// buffer chain, all leave AND(a, b) in one class; a gate of seven inputs
+/// is never keyed, so two copies of one 7-input AND stay apart.
+TEST(StructuralHash, KeyRulesShareOneClass) {
+  using netlist::SignalId;
+  using netlist::TruthTable;
+  netlist::Network net("keys");
+  std::vector<SignalId> in;
+  for (const char* name : {"a", "b", "c", "d", "e", "f", "g"}) {
+    in.push_back(net.add_signal(name));
+    net.add_input(in.back());
+  }
+  const SignalId a = in[0], b = in[1], c = in[2];
+  const auto gate = [&](const char* name, TruthTable table,
+                        std::vector<SignalId> inputs) {
+    const SignalId out = net.add_signal(name);
+    net.add_gate(name, std::move(table), std::move(inputs), out);
+    return out;
+  };
+  const SignalId one = gate("one", TruthTable::constant(true), {});
+  const SignalId zero = gate("zero", TruthTable::constant(false), {});
+  const SignalId buf1 = gate("buf1", TruthTable::identity(), {a});
+  const SignalId buf2 = gate("buf2", TruthTable::identity(), {buf1});
+  const SignalId ref = gate("ref", TruthTable::and_n(2), {a, b});
+  const std::vector<SignalId> same = {
+      gate("permuted", TruthTable::and_n(2), {b, a}),
+      gate("duplicated", TruthTable::and_n(3), {a, b, a}),
+      gate("unused", TruthTable::and_n(2).extend(3), {a, b, c}),
+      gate("constant1", TruthTable::and_n(3), {one, b, a}),
+      gate("constant0", TruthTable::or_n(2), {zero, ref}),
+      gate("buffered", TruthTable::and_n(2), {buf2, b}),
+  };
+  const SignalId other = gate("or", TruthTable::or_n(2), {a, b});
+  const SignalId nand = gate("nand", TruthTable::and_n(2, true), {a, b});
+  const SignalId wide1 = gate("wide1", TruthTable::and_n(7), in);
+  const SignalId wide2 = gate("wide2", TruthTable::and_n(7), in);
+
+  verify::StructuralHash hash;
+  std::vector<int> cls(static_cast<std::size_t>(net.num_signals()),
+                       verify::StructuralHash::kNone);
+  for (const SignalId s : in) cls[static_cast<std::size_t>(s)] = hash.fresh();
+  ASSERT_TRUE(hash.classify(net, net.topo_order(), &cls));
+  const auto at = [&](SignalId s) { return cls[static_cast<std::size_t>(s)]; };
+  EXPECT_EQ(at(one), verify::StructuralHash::kOne);
+  EXPECT_EQ(at(zero), verify::StructuralHash::kZero);
+  EXPECT_EQ(at(buf2), at(a));
+  for (const SignalId s : same) {
+    EXPECT_EQ(at(s), at(ref)) << net.signal_name(s);
+  }
+  EXPECT_NE(at(other), at(ref));
+  EXPECT_NE(at(nand), at(ref));
+  EXPECT_NE(at(wide1), at(wide2));
+  EXPECT_NE(at(wide1), verify::StructuralHash::kNone);
+
+  // A second driver of a classified signal voids the network's classes.
+  netlist::Network twice = net;
+  twice.add_gate("again", TruthTable::identity(), {a}, ref);
+  std::vector<int> cls2(static_cast<std::size_t>(twice.num_signals()),
+                        verify::StructuralHash::kNone);
+  for (const SignalId s : in) cls2[static_cast<std::size_t>(s)] = hash.fresh();
+  EXPECT_FALSE(hash.classify(twice, twice.topo_order(), &cls2));
+}
+
+// ------------------------------------------------ seeded miscompile corpus
+
+/// One bench_gen flow with latches and every hand-off's proof inputs: the
+/// predecessor and the artifact in the form its proof reads.
+struct CorpusFlow {
+  netlist::Network entry;
+  netlist::Network round_trip;  ///< BLIF written and read back
+  netlist::Network mapped;
+  netlist::Network packed;      ///< pack::reconstruct_network
+  netlist::Network placed;      ///< place::reconstruct_network
+  bitgen::Bitstream bitstream;
+  std::vector<std::pair<std::string, std::string>> fabric_map;
+};
+
+const CorpusFlow& corpus_flow() {
+  static const CorpusFlow flow = [] {
+    bench_gen::BenchSpec spec;
+    spec.n_inputs = 8;
+    spec.n_outputs = 6;
+    spec.n_gates = 150;
+    spec.n_latches = 8;
+    spec.seed = 33;
+    const auto net = bench_gen::generate(spec);
+    flow::FlowOptions options;
+    options.verify_mode = flow::VerifyMode::kOff;
+    flow::FlowSession session(net, options);
+    session.resume();
+    const flow::FlowResult& r = session.result();
+    return CorpusFlow{
+        r.synthesized,
+        netlist::read_blif_string(netlist::write_blif_string(r.synthesized)),
+        *r.mapped,
+        pack::reconstruct_network(*r.packed),
+        place::reconstruct_network(*r.placement),
+        r.bitstream,
+        flow::fabric_register_map(r)};
+  }();
+  return flow;
+}
+
+/// Random simulation (8 runs x 64 cycles from reset) shows an output change.
+bool random_sim_differs(const netlist::Network& a, const netlist::Network& b) {
+  return !netlist::check_equivalence(a, b).equivalent;
+}
+
+/// The first copy of `good` with one gate's table bit flipped that random
+/// simulation against `ref` tells apart. The flip keeps the gate's
+/// support, so only its table, not its inputs, tells the two apart.
+netlist::Network flip_visible_bit(const netlist::Network& ref,
+                                  const netlist::Network& good) {
+  const auto support = [](const netlist::TruthTable& t) {
+    std::vector<bool> used;
+    for (int i = 0; i < t.n_inputs(); ++i) used.push_back(t.depends_on(i));
+    return used;
+  };
+  for (int gi = 0; gi < static_cast<int>(good.gates().size()); ++gi) {
+    const netlist::Gate& g = good.gates()[static_cast<std::size_t>(gi)];
+    for (std::uint64_t row = 0; row < g.table.n_rows(); ++row) {
+      netlist::Network bad = good;
+      netlist::TruthTable& table = bad.gate(gi).table;
+      table.set(row, !g.table.get(row));
+      if (support(table) != support(g.table)) continue;
+      if (random_sim_differs(ref, bad)) return bad;
+    }
+  }
+  ADD_FAILURE() << "no table bit flip is visible to random simulation";
+  return good;
+}
+
+/// The first copy of `good` with inputs 0 and 1 of an asymmetric LUT
+/// swapped that random simulation against `ref` tells apart.
+netlist::Network swap_visible_inputs(const netlist::Network& ref,
+                                     const netlist::Network& good) {
+  for (int gi = 0; gi < static_cast<int>(good.gates().size()); ++gi) {
+    const netlist::Gate& g = good.gates()[static_cast<std::size_t>(gi)];
+    if (g.inputs.size() < 2 || g.inputs[0] == g.inputs[1]) continue;
+    std::vector<int> perm(g.inputs.size());
+    for (std::size_t i = 0; i < perm.size(); ++i) {
+      perm[i] = static_cast<int>(i);
+    }
+    std::swap(perm[0], perm[1]);
+    if (g.table.permute(perm) == g.table) continue;  // symmetric in 0, 1
+    netlist::Network bad = good;
+    std::swap(bad.gate(gi).inputs[0], bad.gate(gi).inputs[1]);
+    if (random_sim_differs(ref, bad)) return bad;
+  }
+  ADD_FAILURE() << "no input swap is visible to random simulation";
+  return good;
+}
+
+int obligations(const netlist::Network& net) {
+  return static_cast<int>(net.outputs().size() + net.latches().size());
+}
+
+/// A corrupted hand-off: the structural pass leaves at least one
+/// obligation open, SAT refutes it, and the report carries the replayed
+/// counterexample.
+void expect_refuted(const netlist::Network& ref, const netlist::Network& bad,
+                    const verify::EquivOptions& options = {}) {
+  const verify::EquivResult r = verify::prove_equivalence(ref, bad, options);
+  ASSERT_EQ(r.status, verify::EquivStatus::kNotEquivalent) << r.message;
+  EXPECT_LT(r.structural_outputs, obligations(ref));
+  EXPECT_NE(r.message.find("miter satisfiable"), std::string::npos)
+      << r.message;
+  ASSERT_TRUE(r.cex.has_value());
+  EXPECT_NE(r.cex->value_a, r.cex->value_b);
+}
+
+TEST(MiscompileCorpus, HonestHandOffsSettleStructurallyButTheMap) {
+  const CorpusFlow& f = corpus_flow();
+  struct Proof {
+    const char* handoff;
+    const netlist::Network* ref;
+    netlist::Network impl;
+    bool structural;
+    verify::EquivOptions options;
+  };
+  verify::EquivOptions fabric;
+  fabric.register_map = f.fabric_map;
+  const Proof proofs[] = {
+      {"round trip", &f.entry, f.round_trip, true, {}},
+      {"map", &f.entry, f.mapped, false, {}},
+      {"pack", &f.mapped, f.packed, true, {}},
+      {"place", &f.mapped, f.placed, true, {}},
+      {"route", &f.mapped, bitgen::decode_to_network(f.bitstream), true,
+       fabric},
+  };
+  for (const Proof& p : proofs) {
+    SCOPED_TRACE(p.handoff);
+    const verify::EquivResult r =
+        verify::prove_equivalence(*p.ref, p.impl, p.options);
+    ASSERT_TRUE(r.equivalent()) << r.message;
+    EXPECT_EQ(r.proved_outputs, obligations(*p.ref));
+    if (p.structural) {
+      EXPECT_EQ(r.structural_outputs, r.proved_outputs);
+      EXPECT_EQ(r.stats.clauses, 0);
+      EXPECT_EQ(r.stats.solves, 0u);
+    } else {
+      EXPECT_LT(r.structural_outputs, r.proved_outputs);
+      EXPECT_GT(r.stats.clauses, 0);
+    }
+  }
+}
+
+TEST(MiscompileCorpus, RoundTripGateBitAndLatchInit) {
+  const CorpusFlow& f = corpus_flow();
+  expect_refuted(f.entry, flip_visible_bit(f.entry, f.round_trip));
+
+  // A flipped reset state is refuted before any obligation, by name.
+  bool found = false;
+  for (int li = 0; li < static_cast<int>(f.round_trip.latches().size()) &&
+                   !found;
+       ++li) {
+    netlist::Network bad = f.round_trip;
+    netlist::Latch& latch = bad.latch(li);
+    latch.init = latch.init == netlist::LatchInit::kOne
+                     ? netlist::LatchInit::kZero
+                     : netlist::LatchInit::kOne;
+    if (!random_sim_differs(f.entry, bad)) continue;
+    found = true;
+    const verify::EquivResult r = verify::prove_equivalence(f.entry, bad);
+    ASSERT_EQ(r.status, verify::EquivStatus::kNotEquivalent) << r.message;
+    EXPECT_LT(r.structural_outputs, obligations(f.entry));
+    EXPECT_NE(r.message.find("reset states differ"), std::string::npos)
+        << r.message;
+    EXPECT_FALSE(r.cex.has_value());
+  }
+  EXPECT_TRUE(found) << "no latch init flip is visible to random simulation";
+}
+
+TEST(MiscompileCorpus, MapLutBit) {
+  const CorpusFlow& f = corpus_flow();
+  expect_refuted(f.entry, flip_visible_bit(f.entry, f.mapped));
+}
+
+TEST(MiscompileCorpus, PackAndPlaceLutBitAndSwappedInputs) {
+  const CorpusFlow& f = corpus_flow();
+  for (const netlist::Network* artifact : {&f.packed, &f.placed}) {
+    expect_refuted(f.mapped, flip_visible_bit(f.mapped, *artifact));
+    expect_refuted(f.mapped, swap_visible_inputs(f.mapped, *artifact));
+  }
+}
+
+TEST(MiscompileCorpus, RouteLutBitInTheDecodedFabric) {
+  const CorpusFlow& f = corpus_flow();
+  verify::EquivOptions options;
+  options.register_map = f.fabric_map;
+  for (std::size_t c = 0; c < f.bitstream.clbs.size(); ++c) {
+    for (std::size_t b = 0; b < f.bitstream.clbs[c].bles.size(); ++b) {
+      if (!f.bitstream.clbs[c].bles[b].used) continue;
+      for (int bit = 0; bit < (1 << f.bitstream.k); ++bit) {
+        bitgen::Bitstream bad = f.bitstream;
+        bad.clbs[c].bles[b].lut_bits ^= 1u << bit;
+        const netlist::Network fabric = bitgen::decode_to_network(bad);
+        if (!random_sim_differs(f.mapped, fabric)) continue;
+        expect_refuted(f.mapped, fabric, options);
+        return;
+      }
+    }
+  }
+  ADD_FAILURE() << "no LUT bit flip is visible to random simulation";
 }
 
 // --------------------------------------------- seeded miscompile fixtures

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "netlist/blif.hpp"
 #include "netlist/simulate.hpp"
 #include "util/error.hpp"
@@ -74,6 +77,46 @@ TEST(Parser, RejectsUnsupported) {
                ParseError);
   EXPECT_THROW(parse_vhdl("entity e is port (x : inout std_logic); end e;"),
                ParseError);
+}
+
+TEST(Parser, IntegerLiteralPastRangeNamesItsLine) {
+  // A literal past the 64-bit range, in an expression and in a vector
+  // bound: a ParseError on the literal's line, not a bare std::out_of_range.
+  const char* kExpr = R"(entity cmp is
+  port ( a : in std_logic_vector(3 downto 0);
+         eq : out std_logic );
+end cmp;
+architecture rtl of cmp is
+begin
+  eq <= '1' when a = 99999999999999999999 else '0';
+end rtl;
+)";
+  const char* kBound = R"(entity wide is
+  port ( a : in std_logic_vector(99999999999999999999 downto 0);
+         y : out std_logic );
+end wide;
+)";
+  for (const auto& [text, line] : {std::pair{kExpr, 7}, std::pair{kBound, 2}}) {
+    try {
+      parse_vhdl(text, "big.vhd");
+      ADD_FAILURE() << "accepted";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.file(), "big.vhd");
+      EXPECT_EQ(e.line(), line);
+      EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos)
+          << e.what();
+    }
+  }
+  // The largest literal that fits still parses.
+  EXPECT_NO_THROW(parse_vhdl(R"(entity cmp is
+  port ( a : in std_logic_vector(3 downto 0);
+         eq : out std_logic );
+end cmp;
+architecture rtl of cmp is
+begin
+  eq <= '1' when a = 9223372036854775807 else '0';
+end rtl;
+)"));
 }
 
 TEST(Synth, AndGate) {
