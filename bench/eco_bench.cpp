@@ -11,7 +11,6 @@
 // `formally_verified` is the SAT proof of the ECO result against the
 // edited netlist — the safety net that makes the reuse trustworthy.
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -85,11 +84,11 @@ int main(int argc, char** argv) {
       const netlist::Network edited = bench_gen::perturb(base, edit);
 
       // Probe the minimum channel width of the base design, then run
-      // every compile — base, scratch and ECO — at W* + ~15% headroom:
-      // the margin an ECO fabric reserves so edits route in spare
-      // capacity (and a fresh anneal of the edited design needs margin
-      // too), and the same fabric for all three so the comparison is
-      // apples-to-apples.
+      // every compile — base, scratch and ECO — at eco::headroom_width
+      // (W* + ~15%): the margin an ECO fabric reserves so edits route in
+      // spare capacity (and a fresh anneal of the edited design needs
+      // margin too), and the same fabric for all three so the comparison
+      // is apples-to-apples.
       // The probe and base compiles are JobSpec-described (source
       // bench_gen): the same job an amdrel_serve client would submit.
       flow::JobSpec probe_job = args.spec;  // shared CLI knobs
@@ -105,7 +104,7 @@ int main(int argc, char** argv) {
       flow::FlowSession probe(probe_job);
       probe.resume();
       const int min_width = probe.result().channel_width;
-      const int channel_width = min_width + std::max(4, min_width * 15 / 100);
+      const int channel_width = eco::headroom_width(min_width);
 
       flow::JobSpec base_job = probe_job;
       base_job.options.search_min_channel_width = false;

@@ -3,7 +3,7 @@
 // matching the paper's "modularity" requirement §4.1.iii).
 //
 //   amdrel_cli flow      <design.vhd|design.blif> <top> [outdir]
-//                        [--verify off|random|formal|both]
+//                        [--verify off|formal|both]
 //   amdrel_cli synth     <design.vhd> <top>         # VHDL → EDIF on stdout
 //   amdrel_cli e2fmt     <design.edif>              # EDIF → BLIF on stdout
 //   amdrel_cli map       <design.blif> [K]          # BLIF → K-LUT BLIF
@@ -15,7 +15,7 @@
 //   amdrel_cli lint      <design> [top] [--json]    # netlist lint report
 //   amdrel_cli lint      <design A> <design B>      # equivalence lint (EQ0xx)
 //   amdrel_cli verify    <design A> <design B> [--json] [--seed N]
-//                        [--mode random|formal|both] [--time-limit S]
+//                        [--mode formal|both] [--time-limit S]
 //   amdrel_cli eco       <base> <edited> [--json]   # incremental recompile
 //   amdrel_cli bench_gen <name> <gates> [latches] [seed] [--edit N]
 //   amdrel_cli trace-report <trace.jsonl>... [--json]  # analyze obs traces
@@ -42,19 +42,29 @@
 // (deserialized + fabric-decoded) and BLIF otherwise — so `verify` can
 // prove e.g. a source BLIF against its programmed bitstream directly.
 //
-// `lint` exits 0 when the design is clean (or has only warnings/notes)
-// and 1 when any error-severity diagnostic fires; --json emits the
-// machine-readable report. `verify` exits 0 when the designs are proven
-// equivalent, 1 on a proven mismatch and 4 when the result is
-// inconclusive within the solver budget.
+// `flow` and `job` verify with `formal` unless told otherwise: every
+// hand-off is SAT-proven, and `--verify both` adds random vectors at
+// each (`pnr`, `power` and `dagger` default to `off`). `verify` always
+// proves; `--mode both` runs random vectors first, `--mode formal` (the
+// default) does not.
 //
-// `eco` compiles <base> from scratch, incrementally recompiles <edited>
-// against the base artifacts (src/eco), formally proves the recompiled
-// bitstream equivalent to <edited>, and reports the reuse statistics and
-// speedup. Exit 0 when proven equivalent, 1 otherwise. `bench_gen` emits
-// a deterministic synthetic circuit as BLIF on stdout; with --edit N it
-// applies N small edits (retunes/rewires/added LUTs) to that circuit
-// first — generate the base, then the edited copy, and feed both to eco.
+// Exit codes: 0 success, 2 usage, 3 error (a design that cannot be read,
+// a bad option value, a failed compile). Verdicts use the others: `lint`
+// exits 1 when any error-severity diagnostic fires (0 when the design is
+// clean or has only warnings/notes; --json emits the machine-readable
+// report); `verify` exits 0 when the designs are proven equivalent, 1 on
+// a proven mismatch and 4 when the result is inconclusive within the
+// solver budget; `eco` exits 0 when proven equivalent, 1 otherwise.
+//
+// `eco` probes the minimum channel width of <base>, compiles it at that
+// width plus ECO headroom (eco::headroom_width, the rule eco_bench uses),
+// incrementally recompiles <edited> against the base artifacts (src/eco),
+// formally proves the recompiled bitstream equivalent to <edited>, and
+// reports the reuse statistics and the speedup over the base compile
+// (the probe is not timed). `bench_gen` emits a deterministic synthetic
+// circuit as BLIF on stdout; with --edit N it applies N small edits
+// (retunes/rewires/added LUTs) to that circuit first — generate the base,
+// then the edited copy, and feed both to eco.
 
 #include <chrono>
 #include <cstdint>
@@ -124,6 +134,9 @@ bool looks_like_design(const std::string& arg) {
          ends_with(arg, ".blif");
 }
 
+/// Exit code of every error path; no command uses it as a verdict.
+constexpr int kErrorExit = 3;
+
 int usage() {
   std::fprintf(stderr,
                "usage: amdrel_cli "
@@ -146,7 +159,7 @@ int main(int argc, char** argv) {
     metrics_guard.path = cli.runtime.metrics;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+    return kErrorExit;
   }
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
@@ -266,11 +279,8 @@ int main(int argc, char** argv) {
               parse_double(argv[++i], "--time-limit");
         } else if (std::strcmp(argv[i], "--mode") == 0 && i + 1 < argc) {
           const flow::VerifyMode mode = flow::parse_verify_mode(argv[++i]);
-          options.run_random = mode == flow::VerifyMode::kRandom ||
-                               mode == flow::VerifyMode::kBoth;
-          options.run_formal = mode == flow::VerifyMode::kFormal ||
-                               mode == flow::VerifyMode::kBoth;
           if (mode == flow::VerifyMode::kOff) return usage();
+          options.run_random = mode == flow::VerifyMode::kBoth;
         } else {
           return usage();
         }
@@ -293,34 +303,25 @@ int main(int argc, char** argv) {
     }
     if (cmd == "bench_gen") {
       if (argc < 4) return usage();
-      bench_gen::BenchSpec spec;
-      spec.name = argv[2];
-      spec.n_gates = parse_int(argv[3], "bench_gen gates");
-      int edits = 0;
+      flow::JobSpec job;
+      job.source = flow::JobSpec::Source::kBenchGen;
+      job.bench.name = argv[2];
+      job.bench.n_gates = parse_int(argv[3], "bench_gen gates");
       int pos = 0;  // positional: [latches] [seed]
       for (int i = 4; i < argc; ++i) {
         if (std::strcmp(argv[i], "--edit") == 0 && i + 1 < argc) {
-          edits = parse_int(argv[++i], "--edit");
+          job.bench_edits = parse_int(argv[++i], "--edit");
         } else if (pos == 0) {
-          spec.n_latches = parse_int(argv[i], "bench_gen latches");
+          job.bench.n_latches = parse_int(argv[i], "bench_gen latches");
           ++pos;
         } else if (pos == 1) {
-          spec.seed = parse_u64(argv[i], "bench_gen seed");
+          job.bench.seed = parse_u64(argv[i], "bench_gen seed");
           ++pos;
         } else {
           return usage();
         }
       }
-      auto net = bench_gen::generate(spec);
-      if (edits > 0) {
-        bench_gen::EditSpec edit;
-        edit.flips = (edits + 2) / 3;
-        edit.rewires = (edits + 1) / 3;
-        edit.added_luts = edits / 3;
-        edit.seed = spec.seed + 1;
-        net = bench_gen::perturb(net, edit);
-      }
-      netlist::write_blif(net, std::cout);
+      netlist::write_blif(flow::resolve_job_network(job), std::cout);
       return 0;
     }
     if (cmd == "eco") {
@@ -336,8 +337,15 @@ int main(int argc, char** argv) {
       edited.validate();
 
       flow::FlowOptions options;
-      options.search_min_channel_width = true;
       options.verify_mode = flow::VerifyMode::kOff;  // proven below instead
+      {
+        flow::FlowOptions probe = options;
+        probe.search_min_channel_width = true;
+        flow::FlowSession session(base, probe);
+        session.run_until(flow::Stage::kRoute);
+        options.arch.channel_width =
+            eco::headroom_width(session.result().channel_width);
+      }
       using clock = std::chrono::steady_clock;
       const auto t0 = clock::now();
       flow::FlowSession session(base, options);
@@ -419,7 +427,7 @@ int main(int argc, char** argv) {
         std::ifstream in(file);
         if (!in) {
           std::fprintf(stderr, "amdrel_cli: cannot open '%s'\n", file);
-          return 1;
+          return kErrorExit;
         }
         all << in.rdbuf();
       }
@@ -460,6 +468,6 @@ int main(int argc, char** argv) {
     return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+    return kErrorExit;
   }
 }

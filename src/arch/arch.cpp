@@ -1,7 +1,6 @@
 #include "arch/arch.hpp"
 
 #include <cmath>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -53,12 +52,6 @@ std::string write_arch_string(const ArchSpec& spec) {
   std::ostringstream out;
   write_arch(spec, out);
   return out.str();
-}
-
-void write_arch_file(const ArchSpec& spec, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw Error("cannot write arch file: " + path);
-  write_arch(spec, out);
 }
 
 ArchSpec read_arch(std::istream& in, const std::string& filename) {
@@ -141,12 +134,6 @@ ArchSpec read_arch(std::istream& in, const std::string& filename) {
 ArchSpec read_arch_string(const std::string& text) {
   std::istringstream in(text);
   return read_arch(in);
-}
-
-ArchSpec read_arch_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw Error("cannot open arch file: " + path);
-  return read_arch(in, path);
 }
 
 }  // namespace amdrel::arch

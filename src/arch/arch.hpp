@@ -69,9 +69,7 @@ GridSize size_grid(const ArchSpec& spec, int n_clusters, int n_ios);
 /// of the first value that is not.
 void write_arch(const ArchSpec& spec, std::ostream& out);
 std::string write_arch_string(const ArchSpec& spec);
-void write_arch_file(const ArchSpec& spec, const std::string& path);
 ArchSpec read_arch(std::istream& in, const std::string& filename = "<arch>");
 ArchSpec read_arch_string(const std::string& text);
-ArchSpec read_arch_file(const std::string& path);
 
 }  // namespace amdrel::arch

@@ -85,12 +85,4 @@ NodeId add_buffer_chain(Circuit& c, const std::string& prefix, NodeId vdd,
   return cur;
 }
 
-int count_devices_with_prefix(const Circuit& c, const std::string& prefix) {
-  int n = 0;
-  for (const auto& m : c.mosfets()) {
-    if (m.name.rfind(prefix, 0) == 0) ++n;
-  }
-  return n;
-}
-
 }  // namespace amdrel::cells

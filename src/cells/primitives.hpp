@@ -68,7 +68,4 @@ NodeId add_buffer_chain(Circuit& c, const std::string& prefix, NodeId vdd,
                         NodeId in, int n_stages, double w_first,
                         double taper = 3.0);
 
-/// Counts devices added under a prefix (test helper).
-int count_devices_with_prefix(const Circuit& c, const std::string& prefix);
-
 }  // namespace amdrel::cells

@@ -21,6 +21,14 @@ using netlist::kNoSignal;
 using netlist::Network;
 using netlist::SignalId;
 
+/// Edits dirtying more than this fraction of the design skip the
+/// patch-based mapper and recompile the netlist from scratch (the
+/// pack/place/route reuse still applies to whatever survives).
+constexpr double kMaxDirtyFraction = 0.5;
+/// Cap on the move-radius window of the bounded local re-anneal over the
+/// unlocked blocks (moves per block per temperature stay the annealer's).
+constexpr double kReannealRadius = 5.0;
+
 void throw_if_cancelled(const EcoOptions& options) {
   if (options.route.cancel != nullptr &&
       options.route.cancel->load(std::memory_order_acquire)) {
@@ -839,6 +847,10 @@ NetlistDiff diff_networks(const Network& base, const Network& edited) {
   return d;
 }
 
+int headroom_width(int min_width) {
+  return min_width + std::max(4, min_width * 15 / 100);
+}
+
 EcoResult recompile(const Network& edited, const Network& base_entry,
                     const Network& base_mapped,
                     const pack::PackedNetlist& base_packed,
@@ -878,7 +890,7 @@ EcoResult recompile(const Network& edited, const Network& base_entry,
   {
     obs::Span span("eco.map");
     if (!st.entry_diff.io_changed &&
-        st.entry_diff.dirty_pct() <= options.max_dirty_fraction) {
+        st.entry_diff.dirty_pct() <= kMaxDirtyFraction) {
       r.mapped = try_patch_map(edited, base_entry, base_mapped, st.entry_diff,
                                options.lutmap, &st.luts_reused);
     }
@@ -946,9 +958,8 @@ EcoResult recompile(const Network& edited, const Network& base_entry,
       for (char m : movable) {
         if (!m) ++st.blocks_matched;
       }
-      popt.inner_num = options.reanneal_inner;
       popt.movable = &movable;
-      popt.rlim_max = options.reanneal_radius;
+      popt.rlim_max = kReannealRadius;
       r.place_stats = r.placement->anneal(popt);
     } else {
       // Grid changed (or nothing matched): place from scratch.

@@ -79,14 +79,6 @@ NetlistDiff diff_networks(const netlist::Network& base,
 
 struct EcoOptions {
   std::uint64_t seed = 1;
-  /// Bounded local re-anneal over the unlocked blocks: moves per block
-  /// per temperature, and the cap on the annealer's move-radius window.
-  double reanneal_inner = 10.0;
-  double reanneal_radius = 5.0;
-  /// Edits dirtying more than this fraction of the design skip the
-  /// patch-based mapper and recompile the netlist from scratch (the
-  /// pack/place/route reuse still applies to whatever survives).
-  double max_dirty_fraction = 0.5;
   synth::LutMapOptions lutmap;
   /// Router options for the seeded reroute (carries the cancel flag).
   route::RouteOptions route;
@@ -140,6 +132,11 @@ struct EcoResult {
   std::vector<std::uint8_t> bitstream_bytes;
   EcoStats stats;
 };
+
+/// The channel width to compile an ECO base at: `min_width` plus about
+/// 15% (at least 4) spare tracks, so a small edit reroutes in spare
+/// capacity instead of falling back to a from-scratch route.
+int headroom_width(int min_width);
 
 /// Recompiles `edited` incrementally against a completed base compile.
 /// `base_entry`/`base_mapped` are the base flow's synthesized and mapped

@@ -97,23 +97,22 @@ struct StageMetrics {
 /// How stage hand-offs are equivalence-verified (FlowOptions::verify_mode).
 enum class VerifyMode : int {
   kOff = 0,  ///< no equivalence checking
-  kRandom,   ///< random-vector simulation at the legacy check points
   kFormal,   ///< SAT proof of each artifact against its predecessor
-  kBoth,     ///< random vectors plus the formal proofs
+  kBoth,     ///< the formal proofs plus random vectors at every hand-off
 };
-/// Lower-case mode name ("off", "random", "formal", "both").
+/// Lower-case mode name ("off", "formal", "both").
 const char* verify_mode_name(VerifyMode mode);
-/// Parses a verify mode name; throws Error on anything else.
+/// Parses a verify mode name; throws Error naming the valid modes on
+/// anything else.
 VerifyMode parse_verify_mode(const std::string& name);
 
 struct FlowOptions {
   arch::ArchSpec arch;
   std::uint64_t seed = 1;
-  /// Equivalence verification at stage hand-offs. kRandom (the default)
-  /// runs the fast random-vector checks at the legacy points (EDIF
-  /// round-trip, LUT mapping, the fabric decode at route). kFormal /
-  /// kBoth prove each artifact once against its predecessor with the
-  /// SAT-based checker in src/verify; formal proofs per stage:
+  /// Equivalence verification at stage hand-offs. kFormal (the default)
+  /// and kBoth prove each artifact once against its predecessor with the
+  /// SAT-based checker in src/verify; kBoth also runs random vectors at
+  /// every hand-off as a cross-check. Formal proofs per stage:
   ///
   ///   synth  map  pack  place  route  power  bitgen
   ///     1     1    1      1      1      0      0
@@ -122,7 +121,7 @@ struct FlowOptions {
   /// proves the bitstream it builds, through a fabric decode. power reads
   /// the packing the pack proof covered. bitgen checks instead, in every
   /// mode but kOff, that the bytes read back as exactly that bitstream.
-  VerifyMode verify_mode = VerifyMode::kRandom;
+  VerifyMode verify_mode = VerifyMode::kFormal;
   std::uint64_t verify_seed = 1;      ///< seeds random vectors + SAT sweeps
   double verify_time_limit_s = 60.0;  ///< formal wall budget per hand-off
   /// Run the lint barriers (netlist lint on the mapped design, RR-graph

@@ -227,8 +227,8 @@ netlist::Network load_job_network(const JobSpec& spec) {
     case JobSpec::Source::kBenchGen: {
       netlist::Network net = bench_gen::generate(spec.bench);
       if (spec.bench_edits > 0) {
-        // The CLI's historical --edit split: a third of the edits each as
-        // truth-table flips, rewires and added LUTs (rounded that way).
+        // bench_edits (`amdrel_cli bench_gen --edit N`) splits into a
+        // third each of truth-table flips, rewires and added LUTs.
         bench_gen::EditSpec edit;
         edit.flips = (spec.bench_edits + 2) / 3;
         edit.rewires = (spec.bench_edits + 1) / 3;
@@ -256,12 +256,9 @@ netlist::Network resolve_job_network(const JobSpec& spec) {
 }
 
 std::string fnv1a64_hex(const std::vector<std::uint8_t>& bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  return strprintf("%016llx", static_cast<unsigned long long>(h));
+  bitgen::HashSink sink;
+  sink.write(bytes.data(), bytes.size());
+  return strprintf("%016llx", static_cast<unsigned long long>(sink.hash()));
 }
 
 util::Json job_result_to_json(const JobSpec& spec, const FlowResult& result) {

@@ -81,9 +81,9 @@ util::Json job_spec_to_json(const JobSpec& spec);
 /// round-trip is part of the synth stage); calling this on one throws.
 netlist::Network resolve_job_network(const JobSpec& spec);
 
-/// FNV-1a 64-bit of a byte buffer as 16 lowercase hex digits — the
-/// bitstream fingerprint in serve replies and `amdrel_cli job` output
-/// (same constants as bitgen::HashSink, so a streamed hash matches).
+/// FNV-1a 64-bit of a byte buffer (bitgen::HashSink) as 16 lowercase hex
+/// digits — the bitstream fingerprint in serve replies and `amdrel_cli
+/// job` output, equal to a streamed hash of the same bytes.
 std::string fnv1a64_hex(const std::vector<std::uint8_t>& bytes);
 
 /// The shared job-result payload of the serve protocol (`result` reply)

@@ -43,13 +43,6 @@ void write_artifact(const std::string& dir, const std::string& name,
   out << content;
 }
 
-bool wants_random(VerifyMode mode) {
-  return mode == VerifyMode::kRandom || mode == VerifyMode::kBoth;
-}
-bool wants_formal(VerifyMode mode) {
-  return mode == VerifyMode::kFormal || mode == VerifyMode::kBoth;
-}
-
 /// Invariant barrier: error-severity findings stop the flow right at the
 /// broken hand-off, with the whole report (not just the first failure).
 void barrier(const lint::Report& report, const std::string& stage) {
@@ -120,7 +113,6 @@ const char* stage_name(Stage stage) {
 const char* verify_mode_name(VerifyMode mode) {
   switch (mode) {
     case VerifyMode::kOff: return "off";
-    case VerifyMode::kRandom: return "random";
     case VerifyMode::kFormal: return "formal";
     case VerifyMode::kBoth: return "both";
   }
@@ -137,28 +129,26 @@ Stage parse_stage(const std::string& name) {
 
 VerifyMode parse_verify_mode(const std::string& name) {
   if (name == "off") return VerifyMode::kOff;
-  if (name == "random") return VerifyMode::kRandom;
   if (name == "formal") return VerifyMode::kFormal;
   if (name == "both") return VerifyMode::kBoth;
   throw Error("unknown verify mode '" + name +
-              "' (expected off, random, formal or both)");
+              "' (expected off, formal or both)");
 }
 
 void FlowSession::verify_handoff(
     const std::string& handoff, const netlist::Network& ref,
-    const netlist::Network& impl, bool legacy_random_point,
+    const netlist::Network& impl,
     const std::vector<std::pair<std::string, std::string>>& register_map) {
-  const VerifyMode mode = options_.verify_mode;
-  if (wants_random(mode) &&
-      (legacy_random_point || mode == VerifyMode::kBoth)) {
+  if (options_.verify_mode == VerifyMode::kOff) return;
+  if (options_.verify_mode == VerifyMode::kBoth) {
     static obs::Counter& c_random = obs::counter("verify.random_checks");
-    auto r = netlist::check_equivalence(ref, impl, 4, 48,
-                                        options_.verify_seed);
+    const netlist::RandomBudget& budget = netlist::kHandoffRandomBudget;
+    auto r = netlist::check_equivalence(ref, impl, budget.runs,
+                                        budget.cycles, options_.verify_seed);
     c_random.add(1);
     AMDREL_CHECK_MSG(r.equivalent, "equivalence lost at stage '" + handoff +
                                        "': " + r.message);
   }
-  if (!wants_formal(mode)) return;
   verify::EquivOptions eopt;
   eopt.seed = options_.verify_seed;
   eopt.time_limit_s = options_.verify_time_limit_s;
@@ -181,7 +171,7 @@ void FlowSession::verify_fabric(
     const bitgen::Bitstream& bits,
     const std::vector<std::pair<std::string, std::string>>& register_map) {
   verify_handoff(handoff, ref, bitgen::decode_to_network(bits),
-                 /*legacy_random_point=*/true, register_map);
+                 register_map);
 }
 
 FlowSession::FlowSession(const netlist::Network& network,
@@ -349,14 +339,14 @@ void FlowSession::run_synth() {
   static obs::Counter& c_gates = obs::counter("synth.gates");
   if (!from_vhdl_) {
     result_.synthesized = std::move(entry_network_);
-    if (wants_formal(options_.verify_mode)) {
+    if (options_.verify_mode != VerifyMode::kOff) {
       // Network entry has no EDIF round-trip; prove the BLIF writer/parser
       // pair instead so the synth hand-off is still covered. The artifact
       // itself stays the entry network.
       const netlist::Network round_trip = netlist::read_blif_string(
           netlist::write_blif_string(result_.synthesized));
       verify_handoff("BLIF round-trip (E2FMT)", result_.synthesized,
-                     round_trip, /*legacy_random_point=*/false);
+                     round_trip);
     }
     c_gates.add(result_.synthesized.gates().size());
     return;
@@ -368,8 +358,7 @@ void FlowSession::run_synth() {
   std::string edif = netlist::write_edif_string(synthesized);
   write_artifact(options_.artifact_dir, top_ + ".edif", edif);
   netlist::Network from_edif = netlist::read_edif_string(edif);
-  verify_handoff("EDIF round-trip (DRUID/E2FMT)", synthesized, from_edif,
-                 /*legacy_random_point=*/true);
+  verify_handoff("EDIF round-trip (DRUID/E2FMT)", synthesized, from_edif);
   result_.synthesized = std::move(from_edif);
   c_gates.add(result_.synthesized.gates().size());
 }
@@ -382,8 +371,7 @@ void FlowSession::run_map() {
   synth::sweep_dead_logic(opt);
   result_.mapped = std::make_unique<netlist::Network>(synth::map_to_luts(
       opt, synth::LutMapOptions{aspec.k, 8}, &result_.map_stats));
-  verify_handoff("LUT mapping (SIS)", network, *result_.mapped,
-                 /*legacy_random_point=*/true);
+  verify_handoff("LUT mapping (SIS)", network, *result_.mapped);
   if (options_.check_invariants) {
     result_.lint.set_stage("mapping");
     lint::lint_network(*result_.mapped, &result_.lint);
@@ -398,10 +386,9 @@ void FlowSession::run_pack() {
   // T-VPack.
   result_.packed =
       std::make_unique<pack::PackedNetlist>(*result_.mapped, aspec);
-  if (wants_formal(options_.verify_mode)) {
+  if (options_.verify_mode != VerifyMode::kOff) {
     verify_handoff("packing (T-VPack)", *result_.mapped,
-                   pack::reconstruct_network(*result_.packed),
-                   /*legacy_random_point=*/false);
+                   pack::reconstruct_network(*result_.packed));
   }
   write_artifact(options_.artifact_dir, result_.synthesized.name() + ".net",
                  pack::write_net_string(*result_.packed));
@@ -418,10 +405,9 @@ void FlowSession::run_place() {
   place::Placement::AnnealOptions popt;
   popt.seed = options_.seed;
   result_.place_stats = result_.placement->anneal(popt);
-  if (wants_formal(options_.verify_mode)) {
+  if (options_.verify_mode != VerifyMode::kOff) {
     verify_handoff("placement (VPR)", *result_.mapped,
-                   place::reconstruct_network(*result_.placement),
-                   /*legacy_random_point=*/false);
+                   place::reconstruct_network(*result_.placement));
   }
 }
 
@@ -524,8 +510,7 @@ SessionState FlowSession::resume_with_edit(const netlist::Network& edited,
     // that mapping (the same LUTs: settled by structural matching), and
     // its bytes carry exactly that bitstream.
     if (options_.verify_mode != VerifyMode::kOff) {
-      verify_handoff("ECO recompile (LUT mapping)", edited, *er.mapped,
-                     /*legacy_random_point=*/true);
+      verify_handoff("ECO recompile (LUT mapping)", edited, *er.mapped);
       verify_fabric("ECO recompile (fabric)", *er.mapped, er.bitstream,
                     fabric_register_map(*er.mapped, *er.packed,
                                         *er.placement));

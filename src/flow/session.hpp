@@ -137,10 +137,9 @@ class FlowSession {
  private:
   void add_qor_span_metrics(Stage stage, obs::Span& span) const;
   /// Equivalence barrier between a reference network and a stage's result,
-  /// honoring options_.verify_mode. `legacy_random_point` marks the three
-  /// historical random-vector check sites (EDIF round-trip, LUT mapping,
-  /// fabric decode), which are the only ones kRandom runs; the formal
-  /// modes verify every call site. Throws InfeasibleError on a proven
+  /// honoring options_.verify_mode: nothing under kOff; otherwise a SAT
+  /// proof, which kBoth precedes with random vectors
+  /// (netlist::kHandoffRandomBudget). Throws InfeasibleError on a proven
   /// mismatch (with the counterexample) and Error when the formal proof
   /// is inconclusive within budget. SAT effort lands on the registry's
   /// verify.* counters, so it folds into the stage's StageMetrics.
@@ -149,14 +148,14 @@ class FlowSession {
   /// on designs with enough identical-signature FFs to defeat guessing.
   void verify_handoff(
       const std::string& handoff, const netlist::Network& ref,
-      const netlist::Network& impl, bool legacy_random_point,
+      const netlist::Network& impl,
       const std::vector<std::pair<std::string, std::string>>& register_map =
           {});
   /// The fabric proof (route stage and ECO): a routed design has no
   /// netlist form of its own, so `bits` is interpreted through the fabric
   /// decoder and proven against `ref` with the registers pinned by
   /// `register_map`; a swapped or misattributed route shows up as a
-  /// functional difference. A legacy random-vector point.
+  /// functional difference. Runs whatever verify_handoff runs.
   void verify_fabric(
       const std::string& handoff, const netlist::Network& ref,
       const bitgen::Bitstream& bits,

@@ -50,37 +50,14 @@ verify::EquivResult check_equivalence_pair(const netlist::Network& a,
                                            const netlist::Network& b,
                                            const EquivCheckOptions& options,
                                            Report* report) {
-  bool random_diverged = false;
-  std::string random_message;
   if (options.run_random) {
+    const netlist::RandomBudget& budget = netlist::kHandoffRandomBudget;
     const netlist::EquivalenceResult r = netlist::check_equivalence(
-        a, b, options.random_runs, options.random_cycles,
-        options.formal.seed);
-    if (!r.equivalent) {
-      random_diverged = true;
-      random_message = r.message;
-      report->add(rules::kEqRandomMismatch, "", r.message);
-    }
+        a, b, budget.runs, budget.cycles, options.formal.seed);
+    if (!r.equivalent) report->add(rules::kEqRandomMismatch, "", r.message);
   }
-
-  if (options.run_formal) {
-    verify::EquivResult result = verify::prove_equivalence(a, b,
-                                                           options.formal);
-    report_formal(result, report);
-    return result;
-  }
-
-  // Random-only mode: synthesize a result so callers see one shape.
-  verify::EquivResult result;
-  if (random_diverged) {
-    result.status = verify::EquivStatus::kNotEquivalent;
-    result.message = std::move(random_message);
-  } else {
-    result.status = verify::EquivStatus::kUnknown;
-    result.message = options.run_random
-                         ? "random vectors agree (no formal proof attempted)"
-                         : "no check requested";
-  }
+  verify::EquivResult result = verify::prove_equivalence(a, b, options.formal);
+  report_formal(result, report);
   return result;
 }
 

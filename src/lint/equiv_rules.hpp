@@ -2,12 +2,12 @@
 // Formal equivalence checks surfaced as lint diagnostics (EQ0xx).
 //
 // The verify subsystem returns one structured EquivResult per proof; this
-// adapter runs the random-vector and/or SAT-based checks on a pair of
-// networks and translates every adverse outcome into the lint report
-// vocabulary, so `amdrel_cli lint A B` and CI gates can treat a broken
-// stage hand-off like any other rule violation: EQ001 miter satisfiable
-// (with the minimized counterexample in the message), EQ002 proof
-// inconclusive, EQ003 interface mismatch, EQ004 register matching
+// adapter runs the SAT-based proof (optionally preceded by random vectors)
+// on a pair of networks and translates every adverse outcome into the
+// lint report vocabulary, so `amdrel_cli lint A B` and CI gates can treat
+// a broken stage hand-off like any other rule violation: EQ001 miter
+// satisfiable (with the minimized counterexample in the message), EQ002
+// proof inconclusive, EQ003 interface mismatch, EQ004 register matching
 // failure, EQ005 random-vector divergence.
 
 #include "lint/lint.hpp"
@@ -17,18 +17,14 @@
 namespace amdrel::lint {
 
 struct EquivCheckOptions {
-  bool run_random = true;  ///< netlist::check_equivalence random vectors
-  bool run_formal = true;  ///< verify::prove_equivalence SAT proof
-  int random_runs = 4;
-  int random_cycles = 48;
+  /// Random vectors (netlist::kHandoffRandomBudget) before the proof.
+  bool run_random = true;
   verify::EquivOptions formal;  ///< seed / budgets for the SAT proof
 };
 
-/// Checks `a` against `b` per `options`, appending EQ diagnostics to
-/// `report` for every adverse finding (an equivalent pair adds nothing).
-/// Returns the formal EquivResult when run_formal is set; otherwise a
-/// synthesized result reflecting the random check alone (kNotEquivalent
-/// on divergence, kUnknown when vectors agree — agreement is not proof).
+/// Proves `a` against `b` per `options`, appending EQ diagnostics to
+/// `report` for every adverse finding (an equivalent pair adds nothing),
+/// and returns the proof's EquivResult.
 verify::EquivResult check_equivalence_pair(const netlist::Network& a,
                                            const netlist::Network& b,
                                            const EquivCheckOptions& options,

@@ -52,7 +52,9 @@ void check_post_bitgen(const std::vector<std::uint8_t>& bytes,
                 std::string("decode failed: ") + e.what());
     return;
   }
-  const auto equiv = netlist::check_equivalence(mapped, fabric, 4, 48);
+  const netlist::RandomBudget& budget = netlist::kHandoffRandomBudget;
+  const auto equiv =
+      netlist::check_equivalence(mapped, fabric, budget.runs, budget.cycles);
   if (!equiv.equivalent) {
     report->add(rules::kBitgenRoundtrip, "bitstream",
                 "decoded fabric is not equivalent to the mapped netlist: " +

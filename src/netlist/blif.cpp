@@ -280,10 +280,4 @@ std::string write_blif_string(const Network& network) {
   return out.str();
 }
 
-void write_blif_file(const Network& network, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw Error("cannot write BLIF file: " + path);
-  write_blif(network, out);
-}
-
 }  // namespace amdrel::netlist

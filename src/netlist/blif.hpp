@@ -19,6 +19,5 @@ Network read_blif_string(const std::string& text);
 
 void write_blif(const Network& network, std::ostream& out);
 std::string write_blif_string(const Network& network);
-void write_blif_file(const Network& network, const std::string& path);
 
 }  // namespace amdrel::netlist

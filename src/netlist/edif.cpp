@@ -344,12 +344,6 @@ std::string write_edif_string(const Network& network) {
   return out.str();
 }
 
-void write_edif_file(const Network& network, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw Error("cannot write EDIF file: " + path);
-  write_edif(network, out);
-}
-
 // -------------------------------------------------------------- reading --
 
 namespace {
@@ -563,11 +557,11 @@ Network read_edif(std::istream& in, const std::string& filename) {
       const TruthTable& t = prim_it->second.table;
       std::vector<SignalId> ins;
       for (int i = 0; i < t.n_inputs(); ++i) {
-        SignalId s = pin("I" + std::to_string(i));
+        SignalId s = pin(strprintf("I%d", i));
         if (s == kNoSignal) {
           throw ParseError(filename, 1,
-                           "unconnected input I" + std::to_string(i) +
-                               " on instance " + iname);
+                           strprintf("unconnected input I%d on instance %s",
+                                     i, iname.c_str()));
         }
         ins.push_back(s);
       }

@@ -22,7 +22,6 @@ namespace amdrel::netlist {
 /// "truth" property.
 void write_edif(const Network& network, std::ostream& out);
 std::string write_edif_string(const Network& network);
-void write_edif_file(const Network& network, const std::string& path);
 
 /// Parses the EDIF subset back into a Network (DRUID + E2FMT).
 Network read_edif(std::istream& in, const std::string& filename = "<edif>");

@@ -79,4 +79,14 @@ EquivalenceResult check_equivalence(const Network& a, const Network& b,
                                     int n_runs = 8, int n_cycles = 64,
                                     std::uint64_t seed = 1);
 
+/// Random stimulus of one check_equivalence call: `runs` sequences of
+/// `cycles` cycles each.
+struct RandomBudget {
+  int runs;
+  int cycles;
+};
+/// The budget of a flow hand-off check: the random cross-check of
+/// VerifyMode::kBoth, the post-bitgen lint (FL402) and the EQ005 pair lint.
+inline constexpr RandomBudget kHandoffRandomBudget{4, 48};
+
 }  // namespace amdrel::netlist

@@ -34,10 +34,6 @@ double since_s(const TraceContext* ctx,
   return since_attach_s(tp);
 }
 
-double trace_now_s() {
-  return since_attach_s(std::chrono::steady_clock::now());
-}
-
 void reset_epoch() { g_epoch = std::chrono::steady_clock::now(); }
 
 bool detach_sink(Sink* expected) {

@@ -97,8 +97,7 @@ extern thread_local constinit const TraceContext* t_context;
 extern thread_local constinit std::uint64_t t_open_span;
 /// Allocates a process-unique nonzero span id.
 std::uint64_t next_span_id();
-/// Seconds since the current sink was attached.
-double trace_now_s();
+/// Seconds from the current sink's attach to `tp`.
 double since_attach_s(std::chrono::steady_clock::time_point tp);
 /// Seconds since `ctx`'s epoch (or since the global attach when null).
 double since_s(const TraceContext* ctx,

@@ -9,7 +9,6 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -701,10 +700,6 @@ Placement::AnnealStats Placement::anneal(const AnnealOptions& options) {
                   {"cost", cost},
                   {"accept_rate", alpha_rate},
                   {"rlim", rlim}});
-    }
-    if (!options.quiet) {
-      log_info() << "T=" << t << " cost=" << cost << " acc=" << alpha_rate
-                 << " rlim=" << rlim;
     }
   }
   stats.final_cost = total_cost();

@@ -89,7 +89,6 @@ class Placement {
   struct AnnealOptions {
     std::uint64_t seed = 1;
     double inner_num = 10.0;   ///< moves per block per temperature
-    bool quiet = true;
     /// Incremental bounding-box cost updates (VPR-style edge counts).
     /// false = recompute every affected net's bbox per move — slow, kept
     /// as the correctness oracle for the incremental path.

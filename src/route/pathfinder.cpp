@@ -12,7 +12,6 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
 #include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
@@ -29,6 +28,17 @@ struct HeapEntry {
 bool heap_later(const HeapEntry& a, const HeapEntry& b) {
   return a.cost > b.cost;
 }
+
+/// History cost added per unit of overuse each iteration (VPR's history
+/// cost factor).
+constexpr double kAccFac = 1.0;
+/// Weight of the A* distance estimate.
+constexpr double kAstarFac = 1.2;
+/// Scale on the per-tile wire history carried from the last successful
+/// width into an exploratory min-W probe (incremental only). The final
+/// width is always re-established by cold oracle probes, so the warm
+/// start only affects how fast the search narrows, never what it returns.
+constexpr double kWarmStartFac = 0.5;
 
 /// Per-tile mean wire history, used to warm-start a probe at one channel
 /// width from the congestion map of another (track counts differ between
@@ -71,10 +81,10 @@ SpatialHistory extract_spatial_history(const RrGraph& graph,
 }
 
 std::vector<double> history_from_spatial(const SpatialHistory& s,
-                                         const RrGraph& graph, double scale) {
+                                         const RrGraph& graph) {
   std::vector<double> history(static_cast<std::size_t>(graph.num_nodes()),
                               0.0);
-  if (s.empty() || scale <= 0.0) return history;
+  if (s.empty()) return history;
   const std::size_t cells = s.chanx.size();
   const int wires = graph.wire_count();
   for (int id = 0; id < wires; ++id) {
@@ -83,8 +93,8 @@ std::vector<double> history_from_spatial(const SpatialHistory& s,
     const std::size_t c = s.cell(graph.node_x(id), y);
     if (c >= cells) continue;
     history[static_cast<std::size_t>(id)] =
-        scale * (graph.node_type(id) == RrType::kChanX ? s.chanx[c]
-                                                       : s.chany[c]);
+        kWarmStartFac * (graph.node_type(id) == RrType::kChanX ? s.chanx[c]
+                                                               : s.chany[c]);
   }
   return history;
 }
@@ -133,7 +143,7 @@ class PathFinder {
         min_step_cost_ = std::min(min_step_cost_, base_hist_[i]);
       }
     }
-    astar_mult_ = options.astar_fac * min_step_cost_;
+    astar_mult_ = kAstarFac * min_step_cost_;
   }
 
   /// ECO warm start: pre-commits `seeds[ni]` (tree + occupancy) for every
@@ -251,15 +261,11 @@ class PathFinder {
         const int over = occupancy_[i] - cap_[i];
         if (over > 0) {
           ++overused;
-          history_[i] += options_->acc_fac * over;
-          base_hist_[i] += options_->acc_fac * over;
+          history_[i] += kAccFac * over;
+          base_hist_[i] += kAccFac * over;
         }
       }
       last_overused_ = overused;
-      if (!options_->quiet) {
-        log_info() << "pathfinder iter " << iter << ": " << overused
-                   << " overused nodes";
-      }
       if (obs::enabled()) {
         obs::point("route.iteration",
                    {{"iter", static_cast<double>(iter)},
@@ -434,7 +440,7 @@ class PathFinder {
       // the heap only when the new path improves on its best known cost,
       // and heap entries carry just the sort key. A node finalizes at
       // its first pop; a later cheaper arrival (possible because the
-      // directed estimate overweights distance at astar_fac > 1) clears
+      // directed estimate overweights distance at kAstarFac > 1) clears
       // the finalized flag so the node expands again.
       ++visit_token_;
       heap_.clear();
@@ -545,7 +551,7 @@ class PathFinder {
   long long ripups_ = 0;    ///< committed trees torn up (obs)
   int last_overused_ = 0;   ///< overused count of the last iteration (obs)
   double min_step_cost_ = 1.0;
-  double astar_mult_ = 1.0;   ///< astar_fac × min_step_cost (A* estimate)
+  double astar_mult_ = 1.0;   ///< kAstarFac × min_step_cost (A* estimate)
 
   // One lazily-materialized CSR block of the RR edge list: kRegionSize
   // consecutive node ids, built from the graph's pattern stamps on the
@@ -725,9 +731,7 @@ struct Prober {
                             const std::atomic<bool>* stop) const {
     RrGraph graph(*placement, *spec, w, explore.rr);
     std::vector<double> init;
-    if (!warm.empty() && explore.warm_start_fac > 0.0) {
-      init = history_from_spatial(warm, graph, explore.warm_start_fac);
-    }
+    if (!warm.empty()) init = history_from_spatial(warm, graph);
     return route_with_history(graph, *placement, explore,
                               init.empty() ? nullptr : &init, spatial_out,
                               stop);

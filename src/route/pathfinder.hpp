@@ -19,9 +19,6 @@ struct RouteOptions {
   int max_iterations = 40;
   double first_iter_pres_fac = 0.5;
   double pres_fac_mult = 1.6;
-  double acc_fac = 1.0;          ///< history cost increment
-  double astar_fac = 1.2;        ///< expected-cost weight (A*)
-  bool quiet = true;
   /// Congestion-driven incremental rerouting: after the first iteration,
   /// rip up and reroute only nets that touch overused RR nodes (legal nets
   /// keep their trees and occupancy). Also enables the warm-started,
@@ -38,12 +35,6 @@ struct RouteOptions {
   /// clearly-infeasible widths cost a handful of iterations, not the full
   /// budget; the final oracle confirmation never aborts early.
   int stall_window = 0;
-  /// Scale applied to the per-tile wire history transferred from the last
-  /// successful probe width in `minimum_channel_width` (incremental only).
-  /// The final width is always re-established by cold oracle probes, so
-  /// the warm start only affects how fast the search narrows, never what
-  /// it returns.
-  double warm_start_fac = 0.5;
   /// Treat nodes at capacity as hard obstacles instead of pricing their
   /// overuse: the wavefront never expands into a full node, so any
   /// solution found is overuse-free by construction (and a net with no

@@ -162,16 +162,6 @@ std::shared_ptr<const RrPatternTemplates> RrPatternTemplates::shared(
   return slot;
 }
 
-std::size_t RrPatternTemplates::cache_size() {
-  std::lock_guard<std::mutex> lock(tmpl_cache_mutex());
-  return tmpl_cache().size();
-}
-
-void RrPatternTemplates::clear_cache() {
-  std::lock_guard<std::mutex> lock(tmpl_cache_mutex());
-  tmpl_cache().clear();
-}
-
 std::int64_t RrGraph::checked_node_count(std::int64_t nx, std::int64_t ny,
                                          std::int64_t channel_width,
                                          std::int64_t block_nodes) {
@@ -669,19 +659,6 @@ int RrGraph::node_y(int id) const {
   return placement_->location(block_of_id(id)).y;
 }
 
-int RrGraph::node_track(int id) const {
-  if (!dedup_) return nodes_[static_cast<std::size_t>(id)].track;
-  bool h;
-  int x, y, t;
-  if (decode_wire(id, &h, &x, &y, &t)) return t;
-  return -1;
-}
-
-int RrGraph::node_pin(int id) const {
-  if (!dedup_) return nodes_[static_cast<std::size_t>(id)].pin;
-  return node_info(id).pin;
-}
-
 int RrGraph::node_block(int id) const {
   if (!dedup_) return nodes_[static_cast<std::size_t>(id)].block;
   if (id < wire_count_) return -1;
@@ -696,16 +673,6 @@ int RrGraph::node_capacity(int id) const {
   const auto kind = placement_->blocks()[static_cast<std::size_t>(bi)].kind;
   if (off == 0 && kind == BlockKind::kClb) return spec_->cluster_inputs();
   return 1;
-}
-
-double RrGraph::node_base_cost(int id) const {
-  if (!dedup_) return nodes_[static_cast<std::size_t>(id)].base_cost;
-  if (id < wire_count_) return 1.0;
-  switch (node_type(id)) {
-    case RrType::kSink: return 0.0;
-    case RrType::kIpin: return 0.95;
-    default: return 1.0;
-  }
 }
 
 void RrGraph::fill_soa(std::vector<signed char>* type, std::vector<short>* x,

@@ -88,9 +88,6 @@ struct RrPatternTemplates {
   /// rr.tmpl_cache_hits / rr.tmpl_cache_misses registry counters.
   static std::shared_ptr<const RrPatternTemplates> shared(
       const arch::ArchSpec& spec, int width, int max_sub);
-  /// Entries currently cached / drop them all (tests).
-  static std::size_t cache_size();
-  static void clear_cache();
 };
 
 /// Builds the RR graph for a placed design; node ids are stable.
@@ -112,11 +109,8 @@ class RrGraph {
   RrType node_type(int id) const;
   int node_x(int id) const;
   int node_y(int id) const;
-  int node_track(int id) const;
-  int node_pin(int id) const;
   int node_block(int id) const;
   int node_capacity(int id) const;
-  double node_base_cost(int id) const;
   /// Materialized copy of one node's attributes. `out_edges` is always
   /// left empty — use `append_out_edges` for adjacency.
   RrNode node_info(int id) const;

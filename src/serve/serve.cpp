@@ -945,17 +945,9 @@ bool Server::shutdown_requested(bool* drain_out) const {
 }
 
 void Server::request_shutdown(bool drain) {
-  {
-    std::lock_guard<std::mutex> lock(shutdown_mu_);
-    shutdown_requested_ = true;
-    shutdown_drain_ = drain;
-  }
-  shutdown_cv_.notify_all();
-}
-
-void Server::wait_shutdown_requested() {
-  std::unique_lock<std::mutex> lock(shutdown_mu_);
-  shutdown_cv_.wait(lock, [this] { return shutdown_requested_; });
+  std::lock_guard<std::mutex> lock(shutdown_mu_);
+  shutdown_requested_ = true;
+  shutdown_drain_ = drain;
 }
 
 void Server::shutdown(bool drain) {

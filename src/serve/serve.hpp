@@ -144,13 +144,10 @@ class Server {
   void shutdown(bool drain = true);
 
   /// True once a `shutdown` protocol command or request_shutdown() has
-  /// fired; run_server waits on this. `drain_out` receives the requested
+  /// fired; run_server polls this. `drain_out` receives the requested
   /// mode when non-null.
   bool shutdown_requested(bool* drain_out = nullptr) const;
   void request_shutdown(bool drain);
-  /// Blocks until shutdown_requested() (used by run_server; woken by the
-  /// protocol command or request_shutdown from a signal watcher).
-  void wait_shutdown_requested();
 
   /// Stop admitting new jobs (submits reject with reason "draining");
   /// running and queued jobs are unaffected.
@@ -238,7 +235,6 @@ class Server {
   bool watchdog_stop_ = false;
 
   mutable std::mutex shutdown_mu_;
-  std::condition_variable shutdown_cv_;
   bool shutdown_requested_ = false;
   bool shutdown_drain_ = true;
 };

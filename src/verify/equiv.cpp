@@ -28,6 +28,11 @@ using netlist::SignalId;
 using Clock = std::chrono::steady_clock;
 
 const char* kNextStatePrefix = "next-state(";
+/// 64-bit random pattern words per leaf for the sweep signatures.
+constexpr std::size_t kSimWords = 8;
+/// Lock-step simulation cycles of the first FF-matching signature
+/// attempt (each of the four attempts doubles it).
+constexpr int kSignatureCycles = 64;
 
 bool init_bit(LatchInit init) { return init == LatchInit::kOne; }
 
@@ -235,7 +240,7 @@ LatchMatch match_latches(const Network& a, const Network& b,
   std::vector<Signature> sig_a(static_cast<std::size_t>(n_latches));
   std::vector<Signature> sig_b(static_cast<std::size_t>(n_latches));
 
-  int cycles = options.signature_cycles;
+  int cycles = kSignatureCycles;
   for (int attempt = 0; attempt < 4; ++attempt, cycles *= 2) {
     for (auto& s : sig_a) s.assign(static_cast<std::size_t>(cycles + 63) / 64, 0);
     for (auto& s : sig_b) s.assign(static_cast<std::size_t>(cycles + 63) / 64, 0);
@@ -705,7 +710,7 @@ class EquivChecker {
   int sweep() {
     // Random pattern words per leaf solver var (shared leaves share
     // patterns by construction).
-    const auto n_words = static_cast<std::size_t>(options_.sim_words);
+    const std::size_t n_words = kSimWords;
     const auto n_vars = static_cast<std::size_t>(solver_.num_vars());
     Rng rng(options_.seed ^ 0x5eedf00dull);
     std::vector<std::vector<std::uint64_t>> leaf_words(n_words);

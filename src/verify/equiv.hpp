@@ -92,8 +92,6 @@ struct EquivOptions {
   double time_limit_s = 60.0;           ///< whole-proof wall budget
   std::uint64_t conflict_limit = 0;     ///< per output miter (0 = none)
   std::uint64_t sweep_conflict_limit = 2000;  ///< per sweep candidate
-  int sim_words = 8;        ///< 64-bit pattern words for sweep signatures
-  int signature_cycles = 64;  ///< base lock-step cycles for FF matching
   std::uint64_t seed = 1;
   /// Known register correspondences: (side-A Q name, side-B Q name)
   /// pairs. When they pin every latch on both sides, signature matching

@@ -1,8 +1,6 @@
 #include "vhdl/parser.hpp"
 
-#include <fstream>
 #include <limits>
-#include <sstream>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -709,14 +707,6 @@ class Parser {
 DesignFile parse_vhdl(const std::string& source, const std::string& filename) {
   Parser parser(lex_vhdl(source, filename), filename);
   return parser.parse_design_file();
-}
-
-DesignFile parse_vhdl_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw Error("cannot open VHDL file: " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return parse_vhdl(ss.str(), path);
 }
 
 }  // namespace amdrel::vhdl

@@ -13,6 +13,4 @@ namespace amdrel::vhdl {
 DesignFile parse_vhdl(const std::string& source,
                       const std::string& filename = "<vhdl>");
 
-DesignFile parse_vhdl_file(const std::string& path);
-
 }  // namespace amdrel::vhdl

@@ -433,7 +433,10 @@ TEST(FlowSession, ConcurrentCancelRequestsNeverWedgeTheSession) {
 
 TEST(FlowSession, StageFailureCarriesStageNameAndTimes) {
   auto net = netlist::read_blif_file(fixture("defect_comb_loop.blif"));
-  flow::FlowSession session(net, flow::FlowOptions{});
+  // Verification off, so the cycle passes synth and reaches the mapper.
+  flow::FlowOptions options;
+  options.verify_mode = flow::VerifyMode::kOff;
+  flow::FlowSession session(net, options);
   try {
     session.resume();
     FAIL() << "expected the map stage to throw";
@@ -447,6 +450,19 @@ TEST(FlowSession, StageFailureCarriesStageNameAndTimes) {
   }
   EXPECT_EQ(session.state(), flow::SessionState::kFailed);
   EXPECT_THROW(session.resume(), Error);  // failed sessions stay frozen
+
+  // By default the synth stage's round-trip proof stops the cycle first.
+  flow::FlowSession proven(net, flow::FlowOptions{});
+  try {
+    proven.resume();
+    FAIL() << "expected the synth stage to throw";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("flow stage 'synth' failed"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("combinational cycle"), std::string::npos) << msg;
+  }
+  EXPECT_EQ(proven.state(), flow::SessionState::kFailed);
 }
 
 /// The bitstream is built once, by the route stage, from the routing it

@@ -152,6 +152,16 @@ TEST(Serve, MalformedRequestsAnswerErrorsOnALiveConnection) {
   EXPECT_FALSE(reply.at("ok").as_bool());
   EXPECT_EQ(reply.at("reason").as_string(), "bad_job");
 
+  // So does "random", which is no verify mode; the error names the modes.
+  reply = client.request(
+      "{\"cmd\":\"submit\",\"job\":{\"source\":\"bench_gen\","
+      "\"options\":{\"verify\":\"random\"}}}");
+  EXPECT_FALSE(reply.at("ok").as_bool());
+  EXPECT_EQ(reply.at("reason").as_string(), "bad_job");
+  EXPECT_NE(reply.at("error").as_string().find("off, formal or both"),
+            std::string::npos)
+      << reply.dump();
+
   // The connection survived all of the above.
   reply = client.request("{\"cmd\":\"ping\"}");
   EXPECT_TRUE(reply.at("ok").as_bool());

@@ -2,7 +2,7 @@
 // lint bridge (EQ0xx rules) and the flow integration: the seeded
 // miscompile fixtures — a flipped LUT mask bit, a swapped routing pin
 // pair, a flipped bitstream configuration bit — are all missed by the
-// random-vector budget the flow uses (4 runs × 48 cycles) and caught by
+// flow's hand-off random budget (4 runs × 48 cycles) and caught by
 // the formal miter with a replayable counterexample.
 
 #include <gtest/gtest.h>
@@ -25,6 +25,7 @@
 #include "pack/pack.hpp"
 #include "place/place.hpp"
 #include "synth/lutmap.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "verify/cnf.hpp"
@@ -589,10 +590,12 @@ TEST(MiscompileCorpus, RouteLutBitInTheDecodedFabric) {
 
 // --------------------------------------------- seeded miscompile fixtures
 
-/// The flow's random-vector budget: what kRandom mode runs per hand-off.
+/// The flow's hand-off random budget: what kBoth runs per hand-off.
 bool random_vectors_miss(const netlist::Network& a,
                          const netlist::Network& b) {
-  return netlist::check_equivalence(a, b, 4, 48, 1).equivalent;
+  const netlist::RandomBudget& budget = netlist::kHandoffRandomBudget;
+  return netlist::check_equivalence(a, b, budget.runs, budget.cycles, 1)
+      .equivalent;
 }
 
 /// Replays a combinational counterexample through the two-value
@@ -779,11 +782,11 @@ TEST(EquivLint, RandomDivergenceFiresEq005) {
   const auto b = netlist::read_blif_string(
       ".model b\n.inputs x\n.outputs y\n.names x y\n0 1\n.end\n");
   lint::Report report;
-  lint::EquivCheckOptions options;
-  options.run_formal = false;
+  lint::EquivCheckOptions options;  // random vectors, then the proof
   const auto result = lint::check_equivalence_pair(a, b, options, &report);
   EXPECT_EQ(result.status, verify::EquivStatus::kNotEquivalent);
   EXPECT_TRUE(report.fired(lint::rules::kEqRandomMismatch));
+  EXPECT_TRUE(report.fired(lint::rules::kEqMiterSat));
 }
 
 TEST(EquivLint, BudgetExhaustionFiresEq002) {
@@ -852,46 +855,62 @@ TEST(FlowVerify, FormalModeProvesEachArtifactOnce) {
   expect_formal_ledger(vhdl.result());
 }
 
-TEST(FlowVerify, RandomModeKeepsLegacyCheckPoints) {
+/// {formal, random} hand-off checks over every stage of a finished flow.
+std::pair<std::uint64_t, std::uint64_t> check_counts(
+    const flow::FlowResult& result) {
+  std::uint64_t formal = 0, random = 0;
+  for (const auto& metrics : result.stage_metrics) {
+    formal += metrics.counter("verify.formal_checks");
+    random += metrics.counter("verify.random_checks");
+  }
+  return {formal, random};
+}
+
+TEST(FlowVerify, DefaultModeProvesEveryHandOff) {
   bench_gen::BenchSpec spec;
   spec.n_inputs = 8;
   spec.n_outputs = 6;
   spec.n_gates = 120;
   spec.seed = 33;
   const auto net = bench_gen::generate(spec);
-  flow::FlowOptions options;
-  options.verify_mode = flow::VerifyMode::kRandom;
-  flow::FlowSession session(net, options);
+  flow::FlowSession session(net, flow::FlowOptions{});
   ASSERT_EQ(session.resume(), flow::SessionState::kDone);
+  EXPECT_EQ(check_counts(session.result()),
+            std::make_pair(std::uint64_t{5}, std::uint64_t{0}));
 
-  std::uint64_t formal = 0, random = 0;
-  for (const auto& metrics : session.result().stage_metrics) {
-    formal += metrics.counter("verify.formal_checks");
-    random += metrics.counter("verify.random_checks");
-  }
-  EXPECT_EQ(formal, 0u);
-  // Network entry runs the mapping + fabric-decode legacy points (the
-  // EDIF round-trip one belongs to the VHDL entry); the fabric decode
-  // runs where the bitstream is built, at route.
-  EXPECT_EQ(random, 2u);
-  const flow::FlowResult& r = session.result();
-  EXPECT_EQ(r.metrics(flow::Stage::kRoute).counter("verify.random_checks"),
-            1u);
-  EXPECT_EQ(r.metrics(flow::Stage::kBitgen).counter("verify.random_checks"),
-            0u);
-
-  flow::JobSpec job;
-  job.source = flow::JobSpec::Source::kFile;
-  job.path = fixture("traffic_light.vhd");
-  job.top = "traffic";
-  job.options.verify_mode = flow::VerifyMode::kRandom;
+  // A JobSpec without options.verify: the VHDL entry proves the same five.
+  util::Json json = util::Json::make_object();
+  json.set("source", "file");
+  json.set("path", fixture("traffic_light.vhd"));
+  json.set("top", "traffic");
+  const flow::JobSpec job = flow::job_spec_from_json(json);
+  EXPECT_EQ(job.options.verify_mode, flow::VerifyMode::kFormal);
   flow::FlowSession vhdl(job);
   ASSERT_EQ(vhdl.resume(), flow::SessionState::kDone);
-  random = 0;
-  for (const auto& metrics : vhdl.result().stage_metrics) {
-    random += metrics.counter("verify.random_checks");
+  EXPECT_EQ(check_counts(vhdl.result()),
+            std::make_pair(std::uint64_t{5}, std::uint64_t{0}));
+
+  // kBoth adds the random cross-check at each of the five hand-offs.
+  flow::FlowOptions both;
+  both.verify_mode = flow::VerifyMode::kBoth;
+  flow::FlowSession cross(net, both);
+  ASSERT_EQ(cross.resume(), flow::SessionState::kDone);
+  EXPECT_EQ(check_counts(cross.result()),
+            std::make_pair(std::uint64_t{5}, std::uint64_t{5}));
+}
+
+TEST(FlowVerify, RandomModeIsRejected) {
+  for (const char* name : {"off", "formal", "both"}) {
+    EXPECT_STREQ(flow::verify_mode_name(flow::parse_verify_mode(name)), name);
   }
-  EXPECT_EQ(random, 3u);
+  try {
+    flow::parse_verify_mode("random");
+    FAIL() << "\"random\" parsed as a verify mode";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("off, formal or both"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 /// The route-stage proof on a miscompile random vectors cannot see:
