@@ -3,7 +3,8 @@
 # and asserts each reports its expected rule ID with a nonzero exit, and
 # that the clean fixtures pass with exit 0. Then checks that `verify`
 # keeps its verdict and error exit codes apart: a refuted pair exits 1,
-# a design that cannot be read exits 3. Usage:
+# a design that cannot be read exits 3, and so does a `bench_gen` count
+# out of range. Usage:
 #   scripts/lint-selfcheck.sh [path/to/amdrel_cli]
 set -uo pipefail
 cd "$(dirname "$0")/.."
@@ -57,5 +58,7 @@ expect_exit 1 "verify eq_guard vs eq_guard_flipped" \
   verify "$FIXTURES/eq_guard.blif" "$FIXTURES/eq_guard_flipped.blif"
 expect_exit 3 "verify with a missing design" \
   verify "$FIXTURES/no_such_design.blif" "$FIXTURES/eq_guard.blif"
+expect_exit 3 "bench_gen with a negative edit count" \
+  bench_gen x 20 0 1 --edit -3
 
 exit $fail

@@ -6,6 +6,7 @@
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace amdrel::bench_gen {
 
@@ -201,7 +202,7 @@ netlist::Network perturb(const netlist::Network& base, const EditSpec& spec) {
         consumers[static_cast<std::size_t>(rng.next_below(consumers.size()))];
     const SignalId pi = safe_sources[static_cast<std::size_t>(
         rng.next_below(safe_sources.size()))];
-    std::string name = "eco_add" + std::to_string(i);
+    std::string name = strprintf("eco_add%d", i);
     while (net.find_signal(name) != kNoSignal) name += "_";
     const SignalId fresh = net.add_signal(name);
     net.add_gate(name, TruthTable::from_bits(2, 0b0110), {old_out, pi}, fresh);

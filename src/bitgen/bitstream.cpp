@@ -9,6 +9,7 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace amdrel::bitgen {
 
@@ -630,9 +631,8 @@ Network decode_to_network(const Bitstream& bs) {
   for (const auto& clb : bs.clbs) {
     for (std::size_t s = 0; s < clb.bles.size(); ++s) {
       if (!clb.bles[s].used) continue;
-      ble_out[{clb.x, clb.y, static_cast<int>(s)}] = net.add_signal(
-          "clb" + std::to_string(clb.x) + "_" + std::to_string(clb.y) + "_b" +
-          std::to_string(s));
+      ble_out[{clb.x, clb.y, static_cast<int>(s)}] =
+          net.add_signal(strprintf("clb%d_%d_b%zu", clb.x, clb.y, s));
     }
   }
 

@@ -7,6 +7,7 @@
 #include "cells/primitives.hpp"
 #include "spice/transient.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
 namespace amdrel::cells {
@@ -268,19 +269,19 @@ double clb_clock_energy(bool clb_gated, int n_ffs_on,
 
   NodeId prev = root_out;
   for (int b = 0; b < kBles; ++b) {
-    NodeId tap = c.node("tap" + std::to_string(b));
-    c.add_resistor("rw" + std::to_string(b), prev, tap,
+    NodeId tap = c.node(strprintf("tap%d", b));
+    c.add_resistor(strprintf("rw%d", b), prev, tap,
                    wire.r_per_um * seg_um);
     const double cw = wire.c_per_um * seg_um;
     c.add_cap_to_ground(prev, cw / 2);
     c.add_cap_to_ground(tap, cw / 2);
 
     const bool on = b < n_ffs_on;
-    NodeId bout = c.node("bgate" + std::to_string(b));
-    NodeId bclk = c.node("bclk" + std::to_string(b));
-    add_nand2(c, "blegate" + std::to_string(b), vdd, tap, on ? en_on : en_off,
+    NodeId bout = c.node(strprintf("bgate%d", b));
+    NodeId bclk = c.node(strprintf("bclk%d", b));
+    add_nand2(c, strprintf("blegate%d", b), vdd, tap, on ? en_on : en_off,
               bout, 0.28);
-    add_inverter(c, "bleinv" + std::to_string(b), vdd, bout, bclk, 0.28);
+    add_inverter(c, strprintf("bleinv%d", b), vdd, bout, bclk, 0.28);
     c.add_cap_to_ground(bclk, c_ffpin);
     prev = tap;
   }

@@ -5,6 +5,7 @@
 #include "cells/primitives.hpp"
 #include "spice/transient.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace amdrel::cells {
 
@@ -23,9 +24,10 @@ LutPorts add_lut(Circuit& c, const std::string& prefix, NodeId vdd, int k,
 
   LutPorts ports;
   for (int i = 0; i < k; ++i) {
-    NodeId in = c.node(prefix + ".in" + std::to_string(i));
-    NodeId inb = c.node(prefix + ".inb" + std::to_string(i));
-    add_inverter(c, prefix + ".cinv" + std::to_string(i), vdd, in, inb, w);
+    NodeId in = c.node(strprintf("%s.in%d", prefix.c_str(), i));
+    NodeId inb = c.node(strprintf("%s.inb%d", prefix.c_str(), i));
+    add_inverter(c, strprintf("%s.cinv%d", prefix.c_str(), i), vdd, in, inb,
+                 w);
     ports.inputs.push_back(in);
     ports.inputs_b.push_back(inb);
   }
@@ -42,14 +44,11 @@ LutPorts add_lut(Circuit& c, const std::string& prefix, NodeId vdd, int k,
   for (int j = 0; j < k; ++j) {
     std::vector<NodeId> next;
     for (std::size_t i = 0; i < level.size(); i += 2) {
-      NodeId m = c.node(prefix + ".m" + std::to_string(j) + "_" +
-                        std::to_string(i / 2));
+      NodeId m = c.node(strprintf("%s.m%d_%zu", prefix.c_str(), j, i / 2));
       // input j = 0 selects level[i], = 1 selects level[i+1].
-      c.add_mosfet(prefix + ".t" + std::to_string(j) + "_" +
-                       std::to_string(i),
+      c.add_mosfet(strprintf("%s.t%d_%zu", prefix.c_str(), j, i),
                    MosType::kNmos, level[i], ports.inputs_b[static_cast<std::size_t>(j)], m, w);
-      c.add_mosfet(prefix + ".t" + std::to_string(j) + "_" +
-                       std::to_string(i + 1),
+      c.add_mosfet(strprintf("%s.t%d_%zu", prefix.c_str(), j, i + 1),
                    MosType::kNmos, level[i + 1], ports.inputs[static_cast<std::size_t>(j)], m, w);
       next.push_back(m);
     }
@@ -89,7 +88,8 @@ LutMetrics characterize_lut4(const process::Tech018& tech) {
                 Waveform::pulse(0, tech.vdd, period / 4, ramp, ramp,
                                 period / 2 - ramp, period));
   for (int i = 0; i < 3; ++i) {
-    c.add_vsource("vk" + std::to_string(i), lut.inputs[static_cast<std::size_t>(i)], kGround,
+    c.add_vsource(strprintf("vk%d", i),
+                  lut.inputs[static_cast<std::size_t>(i)], kGround,
                   Waveform::dc(0.0));
   }
   c.add_capacitor("cl", lut.out, kGround, 10e-15);

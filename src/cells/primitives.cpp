@@ -1,6 +1,7 @@
 #include "cells/primitives.hpp"
 
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace amdrel::cells {
 
@@ -77,8 +78,9 @@ NodeId add_buffer_chain(Circuit& c, const std::string& prefix, NodeId vdd,
   NodeId cur = in;
   double w = w_first;
   for (int i = 0; i < n_stages; ++i) {
-    NodeId next = c.node(prefix + ".s" + std::to_string(i));
-    add_inverter(c, prefix + ".inv" + std::to_string(i), vdd, cur, next, w);
+    NodeId next = c.node(strprintf("%s.s%d", prefix.c_str(), i));
+    add_inverter(c, strprintf("%s.inv%d", prefix.c_str(), i), vdd, cur, next,
+                 w);
     cur = next;
     w *= taper;
   }

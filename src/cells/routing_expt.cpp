@@ -74,9 +74,9 @@ BuiltExperiment build(const RoutingExptOptions& options,
   for (int s = 0; s < n_segments; ++s) {
     if (s > 0) {
       // Routing switch joining the previous segment to this one.
-      NodeId head = c.node("track" + std::to_string(s));
+      NodeId head = c.node(strprintf("track%d", s));
       if (options.style == SwitchStyle::kPassTransistor) {
-        c.add_mosfet("sw" + std::to_string(s), MosType::kNmos, tail, vdd, head,
+        c.add_mosfet(strprintf("sw%d", s), MosType::kNmos, tail, vdd, head,
                      w_sw);
         b.switch_area += tech.transistor_area_um2(w_sw);
         ++b.n_config_cells;
@@ -85,7 +85,7 @@ BuiltExperiment build(const RoutingExptOptions& options,
         // forward one is enabled. First stage: minimum-width inverter
         // (logic threshold adjustment, §3.3.2); second: tri-state of the
         // swept width.
-        const std::string p = "buf" + std::to_string(s);
+        const std::string p = strprintf("buf%d", s);
         NodeId mid = c.node(p + ".mid");
         add_inverter(c, p + ".in", vdd, tail, mid, tech.w_min_um);
         add_tristate_inverter(c, p + ".out", vdd, mid, head, vdd, kGround,

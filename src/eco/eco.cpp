@@ -1007,7 +1007,11 @@ EcoResult recompile(const Network& edited, const Network& base_entry,
         route::RouteResult routing;
         r.channel_width = route::minimum_channel_width(
             *r.placement, arch, &routing, ropt);
-        AMDREL_CHECK_MSG(r.channel_width > 0, "ECO design is unroutable");
+        if (r.channel_width <= 0) {
+          throw InfeasibleError(
+              "ECO design is unroutable: the minimum channel width search "
+              "found no width");
+        }
         r.rr_graph = std::make_unique<route::RrGraph>(
             *r.placement, arch, r.channel_width, ropt.rr);
         r.routing = std::move(routing);

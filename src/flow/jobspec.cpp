@@ -47,6 +47,31 @@ int checked_int(const util::Json& v, const char* what) {
   return static_cast<int>(i);
 }
 
+/// Range-checks a spec's bench_gen counts, naming the first key out of
+/// range: gates, inputs and outputs must be >= 1; latches, window and
+/// bench_edits >= 0. job_spec_from_json and resolve_job_network (the CLI's
+/// `bench_gen` path) both go through it.
+void check_bench_counts(const JobSpec& spec) {
+  const struct {
+    const char* key;
+    int value;
+    int min;
+  } counts[] = {
+      {"bench.gates", spec.bench.n_gates, 1},
+      {"bench.inputs", spec.bench.n_inputs, 1},
+      {"bench.outputs", spec.bench.n_outputs, 1},
+      {"bench.latches", spec.bench.n_latches, 0},
+      {"bench.window", spec.bench.window, 0},
+      {"bench_edits", spec.bench_edits, 0},
+  };
+  for (const auto& c : counts) {
+    if (c.value < c.min) {
+      throw Error(strprintf("job spec: %s must be >= %d, got %d", c.key,
+                            c.min, c.value));
+    }
+  }
+}
+
 bench_gen::BenchSpec bench_from_json(const util::Json& json) {
   bench_gen::BenchSpec spec;
   for (const std::string& key : json.keys()) {
@@ -159,6 +184,8 @@ JobSpec job_spec_from_json(const util::Json& json) {
       if (spec.path.empty()) throw Error("job spec: source 'file' needs 'path'");
       break;
     case JobSpec::Source::kBenchGen:
+      check_bench_counts(spec);
+      break;
     case JobSpec::Source::kNone:
       break;
   }
@@ -225,6 +252,7 @@ netlist::Network load_job_network(const JobSpec& spec) {
       return netlist::read_blif_file(path);
     }
     case JobSpec::Source::kBenchGen: {
+      check_bench_counts(spec);
       netlist::Network net = bench_gen::generate(spec.bench);
       if (spec.bench_edits > 0) {
         // bench_edits (`amdrel_cli bench_gen --edit N`) splits into a

@@ -424,7 +424,10 @@ void FlowSession::run_route() {
   if (options_.search_min_channel_width) {
     channel_width = route::minimum_channel_width(*result_.placement, aspec,
                                                  &routing, ropt);
-    AMDREL_CHECK_MSG(channel_width > 0, "design is unroutable");
+    if (channel_width <= 0) {
+      throw InfeasibleError(
+          "unroutable: the minimum channel width search found no width");
+    }
     rr_graph = std::make_unique<route::RrGraph>(*result_.placement, aspec,
                                                 channel_width, ropt.rr);
   } else {
@@ -432,9 +435,10 @@ void FlowSession::run_route() {
     rr_graph = std::make_unique<route::RrGraph>(*result_.placement, aspec,
                                                 channel_width, ropt.rr);
     routing = route::route_all(*rr_graph, *result_.placement, ropt);
-    AMDREL_CHECK_MSG(routing.success,
-                     "unroutable at W=" + std::to_string(channel_width) +
-                         ": " + routing.message);
+    if (!routing.success) {
+      throw InfeasibleError(strprintf("unroutable at W=%d: %s", channel_width,
+                                      routing.message.c_str()));
+    }
   }
   route::verify_routing(*rr_graph, routing);
   // DAGGER's device bitstream is built once, from the routing committed

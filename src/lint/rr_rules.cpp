@@ -32,7 +32,7 @@ std::string node_desc(const std::vector<RrNode>& nodes, int id) {
   const RrNode& n = nodes[static_cast<std::size_t>(id)];
   return strprintf("rr node %d (%s at %d,%d%s)", id, type_name(n.type), n.x,
                    n.y,
-                   n.track >= 0 ? (" track " + std::to_string(n.track)).c_str()
+                   n.track >= 0 ? strprintf(" track %d", n.track).c_str()
                                 : "");
 }
 
@@ -188,7 +188,7 @@ std::string id_desc(const route::RrGraph& g, int id) {
   const RrNode n = g.node_info(id);
   return strprintf("rr node %d (%s at %d,%d%s)", id, type_name(n.type), n.x,
                    n.y,
-                   n.track >= 0 ? (" track " + std::to_string(n.track)).c_str()
+                   n.track >= 0 ? strprintf(" track %d", n.track).c_str()
                                 : "");
 }
 

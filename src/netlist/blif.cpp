@@ -20,8 +20,8 @@ TruthTable cover_to_table(const Cover& cover, const std::string& file) {
   const int n = static_cast<int>(cover.inputs.size());
   if (n > 16) {
     throw ParseError(file, cover.line,
-                     "gate '" + cover.output + "' has too many inputs (" +
-                         std::to_string(n) + " > 16)");
+                     strprintf("gate '%s' has too many inputs (%d > 16)",
+                               cover.output.c_str(), n));
   }
   // Decide polarity: all cube outputs must agree (standard BLIF).
   bool on_set = true;

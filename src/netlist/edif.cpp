@@ -255,7 +255,7 @@ void write_edif(const Network& network, std::ostream& out) {
       AMDREL_CHECK(cell != nullptr);
       int n = cell->make().n_inputs();
       std::vector<std::string> ins;
-      for (int i = 0; i < n; ++i) ins.push_back("I" + std::to_string(i));
+      for (int i = 0; i < n; ++i) ins.push_back(strprintf("I%d", i));
       emit_prim(cname, ins, {"O"}, "");
     }
   }
@@ -302,8 +302,8 @@ void write_edif(const Network& network, std::ostream& out) {
       }
       for (std::size_t i = 0; i < g.inputs.size(); ++i) {
         if (g.inputs[i] == s) {
-          refs.push_back("(portRef I" + std::to_string(i) +
-                         " (instanceRef " + edif_name("g_" + g.name) + "))");
+          refs.push_back(strprintf("(portRef I%zu (instanceRef %s))", i,
+                                   edif_name("g_" + g.name).c_str()));
         }
       }
     }

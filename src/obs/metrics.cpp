@@ -74,9 +74,9 @@ class Registry {
     auto it = names.find(name);
     if (it != names.end()) return *slots[static_cast<std::size_t>(it->second)];
     const int id = static_cast<int>(slots.size());
-    AMDREL_CHECK_MSG(id < cap, std::string("metrics registry: too many ") +
-                                   kind + "s (cap " + std::to_string(cap) +
-                                   ")");
+    AMDREL_CHECK_MSG(id < cap, strprintf("metrics registry: too many %ss "
+                                         "(cap %d)",
+                                         kind, cap));
     names.emplace(name, id);
     slots.push_back(std::unique_ptr<T>(MetricMaker::make<T>(id)));
     return *slots.back();

@@ -30,14 +30,6 @@ double fanout_q(int n_pins) {
   return 1.4974 + 0.02616 * (n_pins - 10);
 }
 
-/// Per-net bounding box with VPR-style edge counts: how many pins sit on
-/// each of the four edges. A pin move updates the box in O(1) unless it
-/// leaves an edge it was the last pin on, which forces an O(pins) rebuild.
-struct NetBox {
-  int xmin = 0, xmax = 0, ymin = 0, ymax = 0;
-  int n_xmin = 0, n_xmax = 0, n_ymin = 0, n_ymax = 0;
-};
-
 }  // namespace
 
 Placement::Placement(const pack::PackedNetlist& packed,
@@ -73,7 +65,7 @@ void Placement::build_blocks_and_nets() {
   for (std::size_t ci = 0; ci < packed_->clusters().size(); ++ci) {
     cluster_block_.push_back(static_cast<int>(blocks_.size()));
     blocks_.push_back(Block{BlockKind::kClb, static_cast<int>(ci), kNoSignal,
-                            "clb" + std::to_string(ci)});
+                            strprintf("clb%zu", ci)});
   }
   for (SignalId s : net.inputs()) {
     if (clocks.count(s)) continue;  // global clock needs no routed pad net
@@ -136,12 +128,10 @@ void Placement::build_blocks_and_nets() {
 
   block_nets_.assign(blocks_.size(), {});
   for (std::size_t ni = 0; ni < nets_.size(); ++ni) {
-    std::map<int, int> members;  // block → pin multiplicity on this net
-    ++members[nets_[ni].source];
-    for (int b : nets_[ni].sinks) ++members[b];
-    for (const auto& [b, pins] : members) {
-      block_nets_[static_cast<std::size_t>(b)].push_back(
-          BlockNet{static_cast<int>(ni), pins});
+    std::set<int> members(nets_[ni].sinks.begin(), nets_[ni].sinks.end());
+    members.insert(nets_[ni].source);
+    for (int b : members) {
+      block_nets_[static_cast<std::size_t>(b)].push_back(static_cast<int>(ni));
     }
   }
 
@@ -264,8 +254,7 @@ Placement::AnnealStats Placement::anneal(const AnnealOptions& options) {
     occupant[static_cast<std::size_t>(loc_key(locs_[b]))] = static_cast<int>(b);
   }
 
-  auto clb_locs = legal_clb_locs();
-  auto io_locs = legal_io_locs();
+  const std::vector<Loc> io_locs = legal_io_locs();
 
   const int n_blocks = static_cast<int>(clbs.size() + ios.size());
   const long long moves_per_t = std::max<long long>(
@@ -283,27 +272,23 @@ Placement::AnnealStats Placement::anneal(const AnnealOptions& options) {
   const std::size_t n_nets = nets_.size();
 
   // --- Incremental cost state -------------------------------------------
-  // Cached bbox (with edge counts) and cost per net, plus flat CSR copies
-  // of the block→net and net→pin-block adjacency so the hot loop walks
-  // contiguous ints instead of chasing vector-of-vector pointers.
+  // Cached cost per net, plus flat CSR copies of the block→net and
+  // net→pin-block adjacency so the hot loop walks contiguous ints instead
+  // of chasing vector-of-vector pointers.
   std::vector<double> net_q(n_nets);
   for (std::size_t ni = 0; ni < n_nets; ++ni) {
     net_q[ni] = fanout_q(1 + static_cast<int>(nets_[ni].sinks.size()));
   }
-  std::vector<NetBox> box(n_nets);
   std::vector<double> cached_cost(n_nets, 0.0);
 
-  // block → {net, pin multiplicity} (CSR).
+  // block → nets, ascending net id (CSR).
   std::vector<int> bn_off(blocks_.size() + 1, 0);
-  std::vector<int> bn_net, bn_pins;
+  std::vector<int> bn_net;
   for (std::size_t b = 0; b < blocks_.size(); ++b) {
     bn_off[b + 1] = bn_off[b] + static_cast<int>(block_nets_[b].size());
-    for (const BlockNet& bn : block_nets_[b]) {
-      bn_net.push_back(bn.net);
-      bn_pins.push_back(bn.pins);
-    }
+    bn_net.insert(bn_net.end(), block_nets_[b].begin(), block_nets_[b].end());
   }
-  // net → pin blocks, multiplicity expanded (CSR).
+  // net → pin blocks, source first (CSR).
   std::vector<int> np_off(n_nets + 1, 0);
   std::vector<int> np_blk;
   for (std::size_t ni = 0; ni < n_nets; ++ni) {
@@ -313,163 +298,52 @@ Placement::AnnealStats Placement::anneal(const AnnealOptions& options) {
   }
   // SoA copy of the block locations: the bbox rebuilds touch only x and
   // y, and two packed int arrays halve the memory traffic of chasing
-  // 12-byte Loc structs. locs_ stays authoritative; both are updated at
-  // every apply/revert.
+  // 12-byte Loc structs. locs_ stays authoritative; `put` updates all
+  // three at every apply/revert.
   std::vector<int> lx(blocks_.size()), ly(blocks_.size());
   for (std::size_t b = 0; b < blocks_.size(); ++b) {
     lx[b] = locs_[b].x;
     ly[b] = locs_[b].y;
   }
-
-  // Nets up to this many pins skip edge-count bookkeeping entirely: a
-  // branchless min/max rebuild over the flat pin list is cheaper than
-  // maintaining counts, and almost every net in a LUT netlist qualifies.
-  constexpr int kSmallNet = 10;
-  std::vector<char> net_small(n_nets, 0);
-  for (std::size_t ni = 0; ni < n_nets; ++ni) {
-    net_small[ni] = (np_off[ni + 1] - np_off[ni] <= kSmallNet) ? 1 : 0;
-  }
-
-  // Per-move scratch: affected nets land in a sequential buffer (proposal
-  // box + cost); an epoch-marked slot array replaces a per-move std::set
-  // (a net is "in" the scratch iff its epoch matches the current move's).
-  struct Touched {
-    int ni = 0;
-    char rebuilt = 0;  ///< big nets only: counts already rebuilt this move
-    double cost = 0;
-    NetBox nb;
+  auto put = [&](int blk, const Loc& l) {
+    const std::size_t i = static_cast<std::size_t>(blk);
+    locs_[i] = l;
+    lx[i] = l.x;
+    ly[i] = l.y;
   };
-  std::vector<Touched> touched;
-  touched.reserve(64);
-  std::vector<int> net_epoch(n_nets, 0), net_slot(n_nets, 0);
-  int move_epoch = 0;
-  std::vector<double> oracle_before;  ///< oracle path's per-net old costs
-  oracle_before.reserve(64);
 
-  auto box_from_scratch = [&](int ni) {
-    const Net& net = nets_[static_cast<std::size_t>(ni)];
-    NetBox bx;
-    bx.xmin = bx.ymin = 1 << 30;
-    bx.xmax = bx.ymax = -1;
-    auto touch = [&](int b) {
-      const int tx = lx[static_cast<std::size_t>(b)];
-      const int ty = ly[static_cast<std::size_t>(b)];
-      if (tx < bx.xmin) {
-        bx.xmin = tx;
-        bx.n_xmin = 1;
-      } else if (tx == bx.xmin) {
-        ++bx.n_xmin;
-      }
-      if (tx > bx.xmax) {
-        bx.xmax = tx;
-        bx.n_xmax = 1;
-      } else if (tx == bx.xmax) {
-        ++bx.n_xmax;
-      }
-      if (ty < bx.ymin) {
-        bx.ymin = ty;
-        bx.n_ymin = 1;
-      } else if (ty == bx.ymin) {
-        ++bx.n_ymin;
-      }
-      if (ty > bx.ymax) {
-        bx.ymax = ty;
-        bx.n_ymax = 1;
-      } else if (ty == bx.ymax) {
-        ++bx.n_ymax;
-      }
-    };
-    touch(net.source);
-    for (int b : net.sinks) touch(b);
-    return bx;
-  };
-  // Count-free rebuild for small nets: four min/max per pin, no branches.
-  // Edge counts stay unset — small nets never take the O(1) update path.
-  auto mini_box = [&](std::size_t ni) {
-    const int* p = &np_blk[static_cast<std::size_t>(np_off[ni])];
-    const int* end = &np_blk[0] + np_off[ni + 1];
-    NetBox bx;
-    bx.xmin = bx.xmax = lx[static_cast<std::size_t>(*p)];
-    bx.ymin = bx.ymax = ly[static_cast<std::size_t>(*p)];
+  // A net's cost rebuilt over its flat pin list: four min/max per pin, no
+  // branches. LUT netlists have few pins per net (DESIGN §7), so this
+  // beats maintaining VPR-style edge counts for an O(1) update.
+  auto flat_cost = [&](std::size_t ni) {
+    const int* p = np_blk.data() + np_off[ni];
+    const int* const end = np_blk.data() + np_off[ni + 1];
+    int xmin = lx[static_cast<std::size_t>(*p)], xmax = xmin;
+    int ymin = ly[static_cast<std::size_t>(*p)], ymax = ymin;
     for (++p; p != end; ++p) {
       const int tx = lx[static_cast<std::size_t>(*p)];
       const int ty = ly[static_cast<std::size_t>(*p)];
-      bx.xmin = std::min(bx.xmin, tx);
-      bx.xmax = std::max(bx.xmax, tx);
-      bx.ymin = std::min(bx.ymin, ty);
-      bx.ymax = std::max(bx.ymax, ty);
+      xmin = std::min(xmin, tx);
+      xmax = std::max(xmax, tx);
+      ymin = std::min(ymin, ty);
+      ymax = std::max(ymax, ty);
     }
-    return bx;
+    return net_q[ni] * ((xmax - xmin) + (ymax - ymin));
   };
-  auto box_cost = [&](const NetBox& bx, int ni) {
-    return net_q[static_cast<std::size_t>(ni)] *
-           ((bx.xmax - bx.xmin) + (bx.ymax - bx.ymin));
-  };
-
-  // O(1) bbox update for one pin move. Returns false when the pin left an
-  // edge it was the last pin on — the box must then be rebuilt from
-  // scratch (locs_ already hold every moved pin's new location, so the
-  // rebuild covers the whole move and later pin updates are skipped).
-  auto update_box = [](NetBox& bx, const Loc& oldl, const Loc& newl) {
-    if (newl.x != oldl.x) {
-      if (newl.x > oldl.x) {
-        if (oldl.x == bx.xmin) {
-          if (bx.n_xmin == 1) return false;
-          --bx.n_xmin;
-        }
-        if (newl.x > bx.xmax) {
-          bx.xmax = newl.x;
-          bx.n_xmax = 1;
-        } else if (newl.x == bx.xmax) {
-          ++bx.n_xmax;
-        }
-      } else {
-        if (oldl.x == bx.xmax) {
-          if (bx.n_xmax == 1) return false;
-          --bx.n_xmax;
-        }
-        if (newl.x < bx.xmin) {
-          bx.xmin = newl.x;
-          bx.n_xmin = 1;
-        } else if (newl.x == bx.xmin) {
-          ++bx.n_xmin;
-        }
-      }
-    }
-    if (newl.y != oldl.y) {
-      if (newl.y > oldl.y) {
-        if (oldl.y == bx.ymin) {
-          if (bx.n_ymin == 1) return false;
-          --bx.n_ymin;
-        }
-        if (newl.y > bx.ymax) {
-          bx.ymax = newl.y;
-          bx.n_ymax = 1;
-        } else if (newl.y == bx.ymax) {
-          ++bx.n_ymax;
-        }
-      } else {
-        if (oldl.y == bx.ymax) {
-          if (bx.n_ymax == 1) return false;
-          --bx.n_ymax;
-        }
-        if (newl.y < bx.ymin) {
-          bx.ymin = newl.y;
-          bx.n_ymin = 1;
-        } else if (newl.y == bx.ymin) {
-          ++bx.n_ymin;
-        }
-      }
-    }
-    return true;
-  };
-
   if (options.incremental) {
-    for (std::size_t ni = 0; ni < n_nets; ++ni) {
-      box[ni] = box_from_scratch(static_cast<int>(ni));
-      cached_cost[ni] = box_cost(box[ni], static_cast<int>(ni));
-    }
+    for (std::size_t ni = 0; ni < n_nets; ++ni) cached_cost[ni] = flat_cost(ni);
   }
+
+  // Per-move scratch: each affected net's new cost, written back to
+  // cached_cost if the move is accepted (stays empty on the oracle path).
+  struct Touched {
+    int ni = 0;
+    double cost = 0;
+  };
+  std::vector<Touched> touched;
+  touched.reserve(64);
+  std::vector<double> oracle_before;  ///< oracle path's per-net old costs
+  oracle_before.reserve(64);
 
   auto propose_and_apply = [&](double temperature, bool always_accept,
                                double* delta_out) -> bool {
@@ -503,113 +377,51 @@ Placement::AnnealStats Placement::anneal(const AnnealOptions& options) {
 
     double delta = 0;
     if (options.incremental) {
-      // Apply locations first: a from-scratch rebuild mid-update must see
-      // every moved pin at its new spot.
-      locs_[static_cast<std::size_t>(b)] = to;
-      lx[static_cast<std::size_t>(b)] = to.x;
-      ly[static_cast<std::size_t>(b)] = to.y;
-      if (other >= 0) {
-        locs_[static_cast<std::size_t>(other)] = from;
-        lx[static_cast<std::size_t>(other)] = from.x;
-        ly[static_cast<std::size_t>(other)] = from.y;
-      }
-
-      ++move_epoch;
+      put(b, to);
+      if (other >= 0) put(other, from);
+      // Merge walk over the two blocks' sorted net lists: every affected
+      // net once, in ascending net id, rebuilt with both blocks at their
+      // new spots. The oracle path sums the same bit-identical per-net
+      // differences in the same order, so the two modes accept the same
+      // moves, consume the same rng stream, and anneal along
+      // bit-identical trajectories.
       touched.clear();
-      auto move_pins = [&](int blk, const Loc& oldl, const Loc& newl) {
-        const int lo = bn_off[static_cast<std::size_t>(blk)];
-        const int hi = bn_off[static_cast<std::size_t>(blk) + 1];
-        for (int e = lo; e < hi; ++e) {
-          const std::size_t ni = static_cast<std::size_t>(bn_net[
-              static_cast<std::size_t>(e)]);
-          if (net_epoch[ni] == move_epoch) {
-            if (net_small[ni]) continue;  // mini rebuild already saw locs_
-            Touched& t = touched[static_cast<std::size_t>(net_slot[ni])];
-            const int pins = bn_pins[static_cast<std::size_t>(e)];
-            for (int k = 0; k < pins && !t.rebuilt; ++k) {
-              if (!update_box(t.nb, oldl, newl)) {
-                t.nb = box_from_scratch(static_cast<int>(ni));
-                t.rebuilt = 1;
-              }
-            }
-            continue;
-          }
-          net_epoch[ni] = move_epoch;
-          net_slot[ni] = static_cast<int>(touched.size());
-          touched.emplace_back();
-          Touched& t = touched.back();
-          t.ni = static_cast<int>(ni);
-          if (net_small[ni]) {
-            // locs_ already hold every moved pin: one rebuild is final.
-            t.nb = mini_box(ni);
-          } else {
-            t.nb = box[ni];
-            const int pins = bn_pins[static_cast<std::size_t>(e)];
-            for (int k = 0; k < pins && !t.rebuilt; ++k) {
-              if (!update_box(t.nb, oldl, newl)) {
-                t.nb = box_from_scratch(static_cast<int>(ni));
-                t.rebuilt = 1;
-              }
-            }
-          }
-        }
-      };
-      move_pins(b, from, to);
-      if (other >= 0) move_pins(other, to, from);
-      for (Touched& t : touched) {
-        t.cost = box_cost(t.nb, t.ni);
-      }
-      // Sum per-net deltas in ascending net id order (a merge walk over
-      // the two blocks' sorted net lists). The oracle path sums the same
-      // bit-identical per-net differences in the same order, so the two
-      // modes accept the same moves, consume the same rng stream, and
-      // anneal along bit-identical trajectories.
-      {
-        int ea = bn_off[static_cast<std::size_t>(b)];
-        const int ea_end = bn_off[static_cast<std::size_t>(b) + 1];
-        int eb = other >= 0 ? bn_off[static_cast<std::size_t>(other)] : 0;
-        const int eb_end =
-            other >= 0 ? bn_off[static_cast<std::size_t>(other) + 1] : 0;
-        constexpr int kEnd = std::numeric_limits<int>::max();
-        while (ea < ea_end || eb < eb_end) {
-          const int na = ea < ea_end
-                             ? bn_net[static_cast<std::size_t>(ea)] : kEnd;
-          const int nb = eb < eb_end
-                             ? bn_net[static_cast<std::size_t>(eb)] : kEnd;
-          const int ni = na < nb ? na : nb;
-          if (na == ni) ++ea;
-          if (nb == ni) ++eb;
-          const std::size_t i = static_cast<std::size_t>(ni);
-          delta += touched[static_cast<std::size_t>(net_slot[i])].cost -
-                   cached_cost[i];
-        }
+      int ea = bn_off[static_cast<std::size_t>(b)];
+      const int ea_end = bn_off[static_cast<std::size_t>(b) + 1];
+      int eb = other >= 0 ? bn_off[static_cast<std::size_t>(other)] : 0;
+      const int eb_end =
+          other >= 0 ? bn_off[static_cast<std::size_t>(other) + 1] : 0;
+      constexpr int kEnd = std::numeric_limits<int>::max();
+      while (ea < ea_end || eb < eb_end) {
+        const int na =
+            ea < ea_end ? bn_net[static_cast<std::size_t>(ea)] : kEnd;
+        const int nb =
+            eb < eb_end ? bn_net[static_cast<std::size_t>(eb)] : kEnd;
+        const int ni = na < nb ? na : nb;
+        if (na == ni) ++ea;
+        if (nb == ni) ++eb;
+        const std::size_t i = static_cast<std::size_t>(ni);
+        const double c = flat_cost(i);
+        touched.push_back(Touched{ni, c});
+        delta += c - cached_cost[i];
       }
     } else {
       // Oracle path: recompute every affected net's full bbox cost before
       // and after the move, per net in ascending net id order (matching
       // the incremental path's summation exactly — see above).
-      std::set<int> affected_set;
-      for (const BlockNet& bn : block_nets_[static_cast<std::size_t>(b)]) {
-        affected_set.insert(bn.net);
-      }
+      const std::vector<int>& nets_b = block_nets_[static_cast<std::size_t>(b)];
+      std::set<int> affected_set(nets_b.begin(), nets_b.end());
       if (other >= 0) {
-        for (const BlockNet& bn :
-             block_nets_[static_cast<std::size_t>(other)]) {
-          affected_set.insert(bn.net);
-        }
+        const std::vector<int>& nets_o =
+            block_nets_[static_cast<std::size_t>(other)];
+        affected_set.insert(nets_o.begin(), nets_o.end());
       }
       oracle_before.clear();
       for (int ni : affected_set) {
         oracle_before.push_back(net_cost(nets_[static_cast<std::size_t>(ni)]));
       }
-      locs_[static_cast<std::size_t>(b)] = to;
-      lx[static_cast<std::size_t>(b)] = to.x;
-      ly[static_cast<std::size_t>(b)] = to.y;
-      if (other >= 0) {
-        locs_[static_cast<std::size_t>(other)] = from;
-        lx[static_cast<std::size_t>(other)] = from.x;
-        ly[static_cast<std::size_t>(other)] = from.y;
-      }
+      put(b, to);
+      if (other >= 0) put(other, from);
       std::size_t k = 0;
       for (int ni : affected_set) {
         delta += net_cost(nets_[static_cast<std::size_t>(ni)]) -
@@ -622,11 +434,8 @@ Placement::AnnealStats Placement::anneal(const AnnealOptions& options) {
         always_accept || delta <= 0 ||
         (temperature > 0 && rng.next_double() < std::exp(-delta / temperature));
     if (accept) {
-      if (options.incremental) {
-        for (const Touched& t : touched) {
-          box[static_cast<std::size_t>(t.ni)] = t.nb;
-          cached_cost[static_cast<std::size_t>(t.ni)] = t.cost;
-        }
+      for (const Touched& t : touched) {
+        cached_cost[static_cast<std::size_t>(t.ni)] = t.cost;
       }
       occupant[static_cast<std::size_t>(loc_key(to))] = b;
       occupant[static_cast<std::size_t>(loc_key(from))] = other;
@@ -634,14 +443,8 @@ Placement::AnnealStats Placement::anneal(const AnnealOptions& options) {
       return true;
     }
     // Revert.
-    locs_[static_cast<std::size_t>(b)] = from;
-    lx[static_cast<std::size_t>(b)] = from.x;
-    ly[static_cast<std::size_t>(b)] = from.y;
-    if (other >= 0) {
-      locs_[static_cast<std::size_t>(other)] = to;
-      lx[static_cast<std::size_t>(other)] = to.x;
-      ly[static_cast<std::size_t>(other)] = to.y;
-    }
+    put(b, from);
+    if (other >= 0) put(other, to);
     return false;
   };
 

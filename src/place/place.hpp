@@ -89,9 +89,11 @@ class Placement {
   struct AnnealOptions {
     std::uint64_t seed = 1;
     double inner_num = 10.0;   ///< moves per block per temperature
-    /// Incremental bounding-box cost updates (VPR-style edge counts).
-    /// false = recompute every affected net's bbox per move — slow, kept
-    /// as the correctness oracle for the incremental path.
+    /// Incremental cost: keep a cached cost per net and rebuild only the
+    /// moved blocks' nets from a flat pin list. false = recompute every
+    /// affected net's cost before and after each move from the Net
+    /// structs — slow, kept as the correctness oracle: both modes follow
+    /// bit-identical trajectories.
     bool incremental = true;
     /// ECO: per-block movability mask (indexed by block id). Blocks
     /// outside the mask keep their locations bit-for-bit: they are never
@@ -136,14 +138,10 @@ class Placement {
   std::map<netlist::SignalId, int> pad_block_;
   std::map<std::string, int> name_block_;
   std::vector<int> cluster_block_;
-  // Net membership per block for incremental cost updates. A block can pin
-  // the same net more than once (e.g. a pad that is both the net's source
-  // and a sink); `pins` keeps that multiplicity for bbox edge counts.
-  struct BlockNet {
-    int net = 0;
-    int pins = 1;
-  };
-  std::vector<std::vector<BlockNet>> block_nets_;
+  // The nets each block pins, in ascending net id, once each even when the
+  // block pins a net twice (a pad that is both its source and a sink):
+  // the anneal merge-walks two of these lists per move.
+  std::vector<std::vector<int>> block_nets_;
 };
 
 /// Rebuilds a Network from the placement's block list: logic from each

@@ -34,6 +34,35 @@ bool heap_later(const HeapEntry& a, const HeapEntry& b) {
 constexpr double kAccFac = 1.0;
 /// Weight of the A* distance estimate.
 constexpr double kAstarFac = 1.2;
+/// PathFinder's negotiation schedule. No caller sets it: every cold run
+/// (route_all, every min-W probe) uses kColdSchedule, and route_seeded's
+/// two passes use kSpareSchedule and kSeededSchedule.
+struct Schedule {
+  int max_iterations = 40;
+  double first_iter_pres_fac = 0.5;  ///< present-congestion factor, iter 1
+  double pres_fac_mult = 1.6;        ///< its growth per iteration
+  /// Incremental mode: every Nth iteration rips up and reroutes all nets,
+  /// not just congestion-touching ones, so legal nets blocking the only
+  /// escape path of a congested net still re-negotiate.
+  int refresh_interval = 8;
+  /// Treat nodes at capacity as hard obstacles instead of pricing their
+  /// overuse: the wavefront never expands into a full node, so any
+  /// solution found is overuse-free by construction (and a net with no
+  /// path through the spare capacity fails outright instead of stealing
+  /// resources).
+  bool spare_only = false;
+};
+constexpr Schedule kColdSchedule{};
+/// route_seeded pass 1: one spare-capacity-only iteration, so the seeded
+/// clean trees cannot move.
+constexpr Schedule kSpareSchedule{.max_iterations = 1, .spare_only = true};
+/// route_seeded pass 2: negotiation from the seeds (see route_seeded).
+const Schedule kSeededSchedule{
+    .max_iterations = 2 * kColdSchedule.max_iterations,
+    .first_iter_pres_fac = kColdSchedule.first_iter_pres_fac *
+                           std::pow(kColdSchedule.pres_fac_mult, 4.0),
+    .pres_fac_mult = kColdSchedule.pres_fac_mult * 1.25,
+    .refresh_interval = std::numeric_limits<int>::max()};
 /// Scale on the per-tile wire history carried from the last successful
 /// width into an exploratory min-W probe (incremental only). The final
 /// width is always re-established by cold oracle probes, so the warm
@@ -108,10 +137,11 @@ class PathFinder {
   /// `stop` (may be null) abandons the run: read where `options.cancel`
   /// is, once per iteration, it ends the run with message "abandoned".
   PathFinder(const RrGraph& graph, const place::Placement& placement,
-             const RouteOptions& options,
+             const RouteOptions& options, const Schedule& schedule,
              const std::atomic<bool>* stop = nullptr)
       : graph_(&graph),
         options_(&options),
+        schedule_(schedule),
         stop_(stop),
         n_nodes_(graph.num_nodes()),
         n_nets_(static_cast<int>(placement.nets().size())) {
@@ -211,11 +241,11 @@ class PathFinder {
       }
     }
 
-    double pres_fac = options_->first_iter_pres_fac;
+    double pres_fac = schedule_.first_iter_pres_fac;
     int best_overused = std::numeric_limits<int>::max();
     int best_overused_iter = 0;
     over_hist_.clear();
-    for (int iter = 1; iter <= options_->max_iterations; ++iter) {
+    for (int iter = 1; iter <= schedule_.max_iterations; ++iter) {
       const bool cancel = options_->cancel != nullptr &&
                           options_->cancel->load(std::memory_order_relaxed);
       if (cancel ||
@@ -241,7 +271,7 @@ class PathFinder {
           // spare_only blocks full nodes, so "no path" means "no spare
           // capacity here", not "the graph cannot connect this net" —
           // leave the net unrouted and let the caller negotiate for it.
-          if (iter == 1 && !options_->spare_only) {
+          if (iter == 1 && !schedule_.spare_only) {
             // No path even with congestion only priced, not blocked: the
             // graph simply cannot connect this net.
             result.success = false;
@@ -307,7 +337,7 @@ class PathFinder {
           // linear projection; a wrongly aborted feasible width costs the
           // caller one extra oracle probe, never the result.
           hopeless = slope > 0.0 && iter + overused / slope >
-                                        1.15 * options_->max_iterations;
+                                        1.15 * schedule_.max_iterations;
         }
         if (hopeless) {
           result.success = false;
@@ -316,11 +346,11 @@ class PathFinder {
           return result;
         }
       }
-      pres_fac *= options_->pres_fac_mult;
+      pres_fac *= schedule_.pres_fac_mult;
       mark_nets_to_reroute(iter + 1);
     }
     result.success = false;
-    result.iterations = options_->max_iterations;
+    result.iterations = schedule_.max_iterations;
     result.message = "congestion did not resolve";
     return result;
   }
@@ -360,7 +390,7 @@ class PathFinder {
   /// the incremental router's achievable channel width at the oracle's.
   void mark_nets_to_reroute(int next_iter) {
     if (!options_->incremental ||
-        next_iter % options_->refresh_interval == 0) {
+        next_iter % schedule_.refresh_interval == 0) {
       std::fill(reroute_.begin(), reroute_.end(), 1);
       return;
     }
@@ -496,7 +526,7 @@ class PathFinder {
             }
             if (!wanted) continue;
           }
-          if (options_->spare_only && occupancy_[vi] >= cap_[vi]) {
+          if (schedule_.spare_only && occupancy_[vi] >= cap_[vi]) {
             continue;  // full node is an obstacle, not a price
           }
           const double c = pc + node_cost(next, pres_fac);
@@ -542,6 +572,7 @@ class PathFinder {
 
   const RrGraph* graph_;
   const RouteOptions* options_;
+  const Schedule schedule_;
   const std::atomic<bool>* stop_;  ///< min-W wave abandonment (may be null)
   int n_nodes_ = 0;
   int n_nets_ = 0;
@@ -624,7 +655,7 @@ RouteResult route_with_history(const RrGraph& graph,
                                const std::vector<double>* initial_history,
                                SpatialHistory* out_spatial,
                                const std::atomic<bool>* stop = nullptr) {
-  PathFinder pf(graph, placement, options, stop);
+  PathFinder pf(graph, placement, options, kColdSchedule, stop);
   RouteResult result = pf.run(initial_history);
   if (out_spatial != nullptr) {
     *out_spatial = extract_spatial_history(graph, pf.history());
@@ -911,15 +942,13 @@ RouteResult route_seeded(const RrGraph& graph,
   // every dirty net that fits in the spare capacity (the common case at a
   // channel width with headroom). Best-effort: a net with no spare path
   // is simply left unrouted for the negotiation pass below.
+  RouteOptions opts = options;
+  opts.incremental = true;  // partial rip-up is the point of seeding
   if (small_edit) {
-    RouteOptions spare = options;
-    spare.incremental = true;
-    spare.spare_only = true;
-    spare.max_iterations = 1;
-    PathFinder pf1(graph, placement, spare);
+    PathFinder pf1(graph, placement, opts, kSpareSchedule);
     pf1.seed(seeds, dirty);
     RouteResult r1 = pf1.run(nullptr);
-    if (cancelled(spare)) throw CancelledError("routing cancelled");
+    if (cancelled(opts)) throw CancelledError("routing cancelled");
     if (r1.success) return r1;
   }
 
@@ -934,19 +963,11 @@ RouteResult route_seeded(const RrGraph& graph,
   // nets oscillate with no history to arbitrate), and never force a full
   // re-negotiation — a refresh would reroute every clean net and turn the
   // seeded run back into a cold one. Iterations touch only the handful of
-  // contested nets, so a deeper budget is cheap.
-  RouteOptions opts = options;
-  opts.incremental = true;  // partial rip-up is the point of seeding
-  opts.first_iter_pres_fac =
-      options.first_iter_pres_fac *
-      std::pow(options.pres_fac_mult, 4.0);
-  // A steeper schedule than the cold router's: the few contested nets
-  // oscillate until pressure breaks the tie, and each extra iteration
-  // here is pure tail latency.
-  opts.pres_fac_mult = options.pres_fac_mult * 1.25;
-  opts.refresh_interval = std::numeric_limits<int>::max();
-  opts.max_iterations = options.max_iterations * 2;
-  PathFinder pf2(graph, placement, opts);
+  // contested nets, so a deeper budget is cheap. The pressure also grows
+  // faster than the cold router's: the few contested nets oscillate until
+  // pressure breaks the tie, and each extra iteration here is pure tail
+  // latency. kSeededSchedule holds these choices.
+  PathFinder pf2(graph, placement, opts, kSeededSchedule);
   pf2.seed(seeds, dirty);
   RouteResult result = pf2.run(nullptr);
   if (cancelled(opts)) throw CancelledError("routing cancelled");

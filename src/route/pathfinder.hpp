@@ -16,32 +16,19 @@ struct RouteOptions {
   /// (`minimum_channel_width` probes). Graphs passed in by the caller
   /// carry their own options.
   RrOptions rr;
-  int max_iterations = 40;
-  double first_iter_pres_fac = 0.5;
-  double pres_fac_mult = 1.6;
   /// Congestion-driven incremental rerouting: after the first iteration,
   /// rip up and reroute only nets that touch overused RR nodes (legal nets
   /// keep their trees and occupancy). Also enables the warm-started,
   /// wave-parallel minimum-channel-width search. false = the full
   /// rip-up-everything oracle with a sequential cold-start width search.
   bool incremental = true;
-  /// Incremental mode: every Nth iteration rips up and reroutes all nets,
-  /// not just congestion-touching ones, so legal nets blocking the only
-  /// escape path of a congested net still re-negotiate.
-  int refresh_interval = 8;
   /// Incremental mode: give up early when the overused-node count has not
-  /// improved for this many iterations (0 = run all max_iterations).
+  /// improved for this many iterations (0 = run the whole iteration
+  /// budget).
   /// `minimum_channel_width` enables this for its exploratory probes so
   /// clearly-infeasible widths cost a handful of iterations, not the full
   /// budget; the final oracle confirmation never aborts early.
   int stall_window = 0;
-  /// Treat nodes at capacity as hard obstacles instead of pricing their
-  /// overuse: the wavefront never expands into a full node, so any
-  /// solution found is overuse-free by construction (and a net with no
-  /// path through the spare capacity fails outright instead of stealing
-  /// resources). `route_seeded` uses this for its first pass, where the
-  /// seeded clean trees must not move.
-  bool spare_only = false;
   /// Width of the speculative probe waves of `minimum_channel_width`:
   /// how many of the probes the one-at-a-time search would run next are
   /// run at once, on the process-wide executor (`ThreadPool::shared()`)

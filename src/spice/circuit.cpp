@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace amdrel::spice {
 
@@ -88,7 +89,7 @@ NodeId Circuit::node(const std::string& name) {
 
 NodeId Circuit::new_node() {
   NodeId id = next_node_++;
-  names_by_id_.push_back("$n" + std::to_string(id));
+  names_by_id_.push_back(strprintf("$n%d", id));
   return id;
 }
 
@@ -137,7 +138,7 @@ void Circuit::add_cap_to_ground(NodeId n, double farads) {
     }
   }
   capacitors_.push_back(
-      Capacitor{"cnode" + std::to_string(n), n, kGround, farads});
+      Capacitor{strprintf("cnode%d", n), n, kGround, farads});
 }
 
 void Circuit::add_vsource(const std::string& name, NodeId pos, NodeId neg,

@@ -35,9 +35,9 @@ class Rebuilder {
   SignalId fresh(const std::string& hint) {
     // Always decorated: bare original names are reserved for pin_to_name
     // (POs and latch-D signals must keep their names).
-    std::string name = hint + "_r" + std::to_string(counter_++);
+    std::string name = strprintf("%s_r%d", hint.c_str(), counter_++);
     while (net_->find_signal(name) != kNoSignal) {
-      name = hint + "_r" + std::to_string(counter_++);
+      name = strprintf("%s_r%d", hint.c_str(), counter_++);
     }
     return net_->add_signal(name);
   }
@@ -47,7 +47,7 @@ class Rebuilder {
     SignalId& cached = b.const_val ? const1_ : const0_;
     if (cached == kNoSignal) {
       cached = fresh(b.const_val ? "const1" : "const0");
-      net_->add_gate("const" + std::to_string(counter_++),
+      net_->add_gate(strprintf("const%d", counter_++),
                      TruthTable::constant(b.const_val), {}, cached);
     }
     (void)hint;
@@ -96,10 +96,10 @@ class Rebuilder {
     SignalId s = net_->find_signal(name);
     if (s == kNoSignal) s = net_->add_signal(name);
     if (b.is_const) {
-      net_->add_gate("pin" + std::to_string(counter_++),
+      net_->add_gate(strprintf("pin%d", counter_++),
                      TruthTable::constant(b.const_val), {}, s);
     } else {
-      net_->add_gate("pin" + std::to_string(counter_++),
+      net_->add_gate(strprintf("pin%d", counter_++),
                      TruthTable::identity(), {b.sig}, s);
     }
     return s;

@@ -21,7 +21,7 @@ class Error : public std::runtime_error {
 class ParseError : public Error {
  public:
   ParseError(std::string file, int line, const std::string& message)
-      : Error(file + ":" + std::to_string(line) + ": " + message),
+      : Error(file + ':' + std::to_string(line) + ": " + message),
         file_(std::move(file)),
         line_(line) {}
 

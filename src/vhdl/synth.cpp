@@ -52,7 +52,7 @@ class GateBuilder {
 
   SignalId fresh(const std::string& hint) {
     for (;;) {
-      std::string name = hint + "_n" + std::to_string(counter_++);
+      std::string name = strprintf("%s_n%d", hint.c_str(), counter_++);
       if (net_->find_signal(name) == kNoSignal) return net_->add_signal(name);
     }
   }
@@ -63,7 +63,7 @@ class GateBuilder {
     SignalId& cached = b.const_val ? const1_ : const0_;
     if (cached == kNoSignal) {
       cached = fresh(b.const_val ? "const1" : "const0");
-      net_->add_gate("c" + std::to_string(counter_++),
+      net_->add_gate(strprintf("c%d", counter_++),
                      TruthTable::constant(b.const_val), {}, cached);
     }
     return cached;
@@ -102,7 +102,7 @@ class GateBuilder {
     sig_ins.reserve(ins.size());
     for (const Bit& b : ins) sig_ins.push_back(b.sig);
     SignalId out = fresh("n");
-    net_->add_gate("g" + std::to_string(counter_++), std::move(table),
+    net_->add_gate(strprintf("g%d", counter_++), std::move(table),
                    std::move(sig_ins), out);
     strash_.emplace(std::move(key), out);
     return Bit::signal(out);
@@ -126,10 +126,10 @@ class GateBuilder {
   void drive(SignalId target, const Bit& v, int line) {
     (void)line;
     if (v.is_const) {
-      net_->add_gate("drv" + std::to_string(counter_++),
+      net_->add_gate(strprintf("drv%d", counter_++),
                      TruthTable::constant(v.const_val), {}, target);
     } else {
-      net_->add_gate("drv" + std::to_string(counter_++),
+      net_->add_gate(strprintf("drv%d", counter_++),
                      TruthTable::identity(), {v.sig}, target);
     }
   }
@@ -179,7 +179,7 @@ class Elaborator {
       bs.is_port_input = p.is_input;
       for (int i = 0; i < p.type.width(); ++i) {
         std::string name =
-            p.type.is_vector ? p.name + "_" + std::to_string(i) : p.name;
+            p.type.is_vector ? strprintf("%s_%d", p.name.c_str(), i) : p.name;
         bs.bits.push_back(net_.add_signal(name));
       }
       if (p.is_input) {
@@ -957,11 +957,11 @@ class Elaborator {
           // requiring full assignment; in clocked context "keep" means the
           // register holds, so feed back Q.
           merged[i] = gb_.b_mux(cond, Bit::signal(env.at(name).bits[i]), *tv);
-          partial_targets_.insert(name + "#" + std::to_string(i));
+          partial_targets_.insert(strprintf("%s#%zu", name.c_str(), i));
           (void)line;
         } else {
           merged[i] = gb_.b_mux(cond, *ev, Bit::signal(env.at(name).bits[i]));
-          partial_targets_.insert(name + "#" + std::to_string(i));
+          partial_targets_.insert(strprintf("%s#%zu", name.c_str(), i));
         }
       }
       out[name] = std::move(merged);
@@ -1012,7 +1012,7 @@ class Elaborator {
         }
         // New intermediate D signal; the latch drives q.
         SignalId d_sig = gb_.materialize(d);
-        net_.add_latch(name + "_" + std::to_string(i) + "_ff", d_sig, q,
+        net_.add_latch(strprintf("%s_%zu_ff", name.c_str(), i), d_sig, q,
                        clk_sig, init);
       }
     }
@@ -1027,7 +1027,7 @@ class Elaborator {
           if (!rv.is_const) synth_fail(c.line, "reset value must be constant");
           SignalId q = bs.bits[i];
           Bit d = gb_.b_mux(rst, Bit::signal(q), rv);
-          net_.add_latch(name + "_" + std::to_string(i) + "_ff",
+          net_.add_latch(strprintf("%s_%zu_ff", name.c_str(), i),
                          gb_.materialize(d), q, clk_sig,
                          rv.const_val ? LatchInit::kOne : LatchInit::kZero);
         }
@@ -1043,7 +1043,7 @@ class Elaborator {
       const BoundSignal& bs = env.at(name);
       for (std::size_t i = 0; i < bits.size(); ++i) {
         if (!bits[i].has_value()) continue;
-        if (partial_targets_.count(name + "#" + std::to_string(i))) {
+        if (partial_targets_.count(strprintf("%s#%zu", name.c_str(), i))) {
           synth_fail(c.line,
                      "signal '" + name + "' is not assigned on every path "
                      "of a combinational process (latch inference is not "

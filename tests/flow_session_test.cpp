@@ -465,6 +465,27 @@ TEST(FlowSession, StageFailureCarriesStageNameAndTimes) {
   EXPECT_EQ(proven.state(), flow::SessionState::kFailed);
 }
 
+/// A design that cannot route at the width it asks for fails the route
+/// stage as infeasible, naming the width and the router's reason, not as
+/// an internal check with a source location.
+TEST(FlowSession, UnroutableFixedWidthIsInfeasible) {
+  flow::FlowOptions options = fast_options();
+  options.arch.channel_width = 2;
+  flow::FlowSession session(small_design(), options);
+  try {
+    session.resume();
+    FAIL() << "expected the route stage to throw";
+  } catch (const flow::StageInfeasibleError& e) {
+    EXPECT_EQ(e.stage(), flow::Stage::kRoute);
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("flow stage 'route' failed"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("unroutable at W=2: "), std::string::npos) << msg;
+    EXPECT_EQ(msg.find(".cpp"), std::string::npos) << msg;
+  }
+  EXPECT_EQ(session.state(), flow::SessionState::kFailed);
+}
+
 /// The bitstream is built once, by the route stage, from the routing it
 /// commits; bitgen only serializes it.
 TEST(FlowSession, RouteBuildsTheBitstreamAndBitgenSerializesIt) {
@@ -548,6 +569,41 @@ TEST(FlowSession, JobSpecSeedsRoundTripExactlyThroughJson) {
   EXPECT_THROW(flow::parse_job_spec_json(
                    R"({"source":"bench_gen","bench":{"seed":1e300}})"),
                Error);
+}
+
+/// Every bench_gen count is range-checked where the job is parsed, and
+/// the error names the key: a negative edit count would otherwise compile
+/// the unedited circuit, and a zero gate count or negative latch count
+/// would reach the generator.
+TEST(FlowSession, JobSpecRejectsOutOfRangeBenchCounts) {
+  const struct {
+    const char* json;
+    const char* key;
+  } cases[] = {
+      {R"({"source":"bench_gen","bench":{"gates":0}})", "bench.gates"},
+      {R"({"source":"bench_gen","bench":{"inputs":0}})", "bench.inputs"},
+      {R"({"source":"bench_gen","bench":{"outputs":0}})", "bench.outputs"},
+      {R"({"source":"bench_gen","bench":{"latches":-2}})", "bench.latches"},
+      {R"({"source":"bench_gen","bench":{"window":-1}})", "bench.window"},
+      {R"({"source":"bench_gen","bench_edits":-3})", "bench_edits"},
+  };
+  for (const auto& c : cases) {
+    try {
+      flow::parse_job_spec_json(c.json);
+      ADD_FAILURE() << "accepted " << c.json;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.key), std::string::npos)
+          << c.json << " -> " << e.what();
+    }
+  }
+  // The boundary values are accepted, and resolve_job_network checks a
+  // spec built in code the same way.
+  flow::JobSpec spec = flow::parse_job_spec_json(
+      R"({"source":"bench_gen","bench":{"gates":1,"inputs":1,"outputs":1,)"
+      R"("latches":0,"window":0},"bench_edits":0})");
+  EXPECT_EQ(spec.bench.n_gates, 1);
+  spec.bench_edits = -3;
+  EXPECT_THROW(flow::resolve_job_network(spec), Error);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <mutex>
 #include <ostream>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -98,32 +99,81 @@ TEST(Place, IncrementalCostMatchesScratchAfterAnneal) {
   }
 }
 
+/// Anneals two copies of one design, one incremental and one with the
+/// full-recompute oracle, and expects the same trajectory exactly: same
+/// locations, moves, accepted moves and final cost.
+void expect_oracle_match(Design* d_inc, Design* d_orc,
+                         place::Placement::AnnealOptions opt,
+                         const std::string& what) {
+  opt.incremental = true;
+  const auto s_inc = d_inc->placement.anneal(opt);
+  opt.incremental = false;
+  const auto s_orc = d_orc->placement.anneal(opt);
+  EXPECT_EQ(s_inc.final_cost, s_orc.final_cost) << what;
+  EXPECT_EQ(s_inc.moves, s_orc.moves) << what;
+  EXPECT_EQ(s_inc.accepted, s_orc.accepted) << what;
+  ASSERT_EQ(d_inc->placement.blocks().size(),
+            d_orc->placement.blocks().size());
+  for (std::size_t b = 0; b < d_inc->placement.blocks().size(); ++b) {
+    EXPECT_TRUE(d_inc->placement.location(static_cast<int>(b)) ==
+                d_orc->placement.location(static_cast<int>(b)))
+        << what << ": block " << b
+        << " diverged between incremental and oracle anneals";
+  }
+  d_inc->placement.validate();
+  d_orc->placement.validate();
+}
+
 TEST(Place, IncrementalMatchesOracleAnneal) {
   // Same circuit, same seeds: the incremental bbox path and the
   // full-recompute oracle sum per-net cost deltas in the same order, so
   // they accept the same moves, consume the same rng stream, and anneal
   // along bit-identical trajectories — not just equal-quality ones.
+  place::Placement::AnnealOptions opt;
+  opt.seed = 7;
   for (std::uint64_t seed : {64u, 65u, 66u}) {
     Design d_inc(200, 8, seed);
     Design d_orc(200, 8, seed);
-    place::Placement::AnnealOptions opt;
-    opt.seed = 7;
-    opt.incremental = true;
-    auto s_inc = d_inc.placement.anneal(opt);
-    opt.incremental = false;
-    auto s_orc = d_orc.placement.anneal(opt);
-    EXPECT_DOUBLE_EQ(s_inc.final_cost, s_orc.final_cost) << "seed " << seed;
-    EXPECT_EQ(s_inc.moves, s_orc.moves);
-    EXPECT_EQ(s_inc.accepted, s_orc.accepted);
-    ASSERT_EQ(d_inc.placement.blocks().size(), d_orc.placement.blocks().size());
-    for (std::size_t b = 0; b < d_inc.placement.blocks().size(); ++b) {
-      EXPECT_TRUE(d_inc.placement.location(static_cast<int>(b)) ==
-                  d_orc.placement.location(static_cast<int>(b)))
-          << "seed " << seed << " block " << b
-          << " diverged between incremental and oracle anneals";
+    expect_oracle_match(&d_inc, &d_orc, opt, "seed " + std::to_string(seed));
+  }
+
+  // A design with nets above 10 pins: the kernel rebuilds every net's box
+  // the same way, whatever its pin count. Fewer moves per temperature
+  // keep the oracle quick; the trajectory is compared all the same.
+  {
+    Design d_inc(500, 16, 6);
+    Design d_orc(500, 16, 6);
+    std::size_t max_pins = 0;
+    for (const auto& net : d_inc.placement.nets()) {
+      max_pins = std::max(max_pins, 1 + net.sinks.size());
     }
-    d_inc.placement.validate();
-    d_orc.placement.validate();
+    ASSERT_GT(max_pins, 10u) << "no net above 10 pins left to cover";
+    place::Placement::AnnealOptions big = opt;
+    big.inner_num = 2.0;
+    expect_oracle_match(&d_inc, &d_orc, big, "500 gates");
+  }
+
+  // ECO-style: a movable mask and a capped move radius, as the ECO
+  // engine's locked re-anneal uses them. Locked blocks stay put.
+  {
+    Design d_inc(250, 16, 67);
+    Design d_orc(250, 16, 67);
+    const std::size_t n_blocks = d_inc.placement.blocks().size();
+    std::vector<char> movable(n_blocks, 0);
+    for (std::size_t b = 0; b < n_blocks; b += 4) movable[b] = 1;
+    std::vector<place::Loc> before;
+    for (std::size_t b = 0; b < n_blocks; ++b) {
+      before.push_back(d_inc.placement.location(static_cast<int>(b)));
+    }
+    place::Placement::AnnealOptions eco = opt;
+    eco.movable = &movable;
+    eco.rlim_max = 5.0;
+    expect_oracle_match(&d_inc, &d_orc, eco, "locked re-anneal");
+    for (std::size_t b = 0; b < n_blocks; ++b) {
+      if (movable[b]) continue;
+      EXPECT_TRUE(d_inc.placement.location(static_cast<int>(b)) == before[b])
+          << "locked block " << b << " moved";
+    }
   }
 }
 

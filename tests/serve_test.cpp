@@ -162,6 +162,17 @@ TEST(Serve, MalformedRequestsAnswerErrorsOnALiveConnection) {
             std::string::npos)
       << reply.dump();
 
+  // So is a count out of range: a negative edit count would otherwise
+  // compile the unedited circuit.
+  reply = client.request(
+      "{\"cmd\":\"submit\",\"job\":{\"source\":\"bench_gen\","
+      "\"bench_edits\":-3}}");
+  EXPECT_FALSE(reply.at("ok").as_bool());
+  EXPECT_EQ(reply.at("reason").as_string(), "bad_job");
+  EXPECT_NE(reply.at("error").as_string().find("bench_edits"),
+            std::string::npos)
+      << reply.dump();
+
   // The connection survived all of the above.
   reply = client.request("{\"cmd\":\"ping\"}");
   EXPECT_TRUE(reply.at("ok").as_bool());
