@@ -34,7 +34,6 @@ struct BenchArgs {
   /// Process runtime (--trace/--metrics/--progress/--threads/--dense).
   flow::JobRuntime runtime;
   int threads = 0;  ///< mirror of runtime.threads (0 = hw concurrency)
-  bool verify_given = false;  ///< --verify was passed explicitly
 
   spice::MnaSolver solver() const {
     return runtime.dense_mna ? spice::MnaSolver::kDense
@@ -55,7 +54,6 @@ inline BenchArgs parse_bench_args(int argc, char** argv,
     flow::JobSpecCli cli = flow::parse_job_spec(&argc, argv);
     args.spec = std::move(cli.spec);
     args.runtime = std::move(cli.runtime);
-    args.verify_given = cli.verify_given;
   } catch (const Error& e) {
     std::fprintf(stderr, "%s: error: %s\n", argv[0], e.what());
     std::exit(2);

@@ -13,8 +13,12 @@
 // "e2e" is the routed flow — anneal plus routing at the relaxed width
 // minW+2 (VPR's low-stress convention). The min-W binary search is timed
 // as its own metric; both modes must agree on the width it returns.
+// `inc_route_cold_retries` is 1 where the incremental fixed-width run
+// failed and route_all's cold rerun routed instead (its time is in
+// `inc_route_s`).
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -23,6 +27,7 @@
 
 #include "bench_common.hpp"
 #include "bench_gen/bench_gen.hpp"
+#include "obs/metrics.hpp"
 #include "pack/pack.hpp"
 #include "place/place.hpp"
 #include "route/pathfinder.hpp"
@@ -51,6 +56,9 @@ struct ModeResult {
   int route_w = 0;
   double route_s = 0;
   int route_iters = 0;
+  /// `route.cold_retries` added by the fixed-width pass: 1 when the
+  /// incremental run failed and route_s/route_iters are the cold rerun's.
+  std::uint64_t route_cold_retries = 0;
 
   double moves_per_s() const { return place_s > 0 ? moves / place_s : 0; }
   double e2e_s() const { return place_s + route_s; }
@@ -92,10 +100,15 @@ ModeResult run_mode(const amdrel::pack::PackedNetlist& packed,
   // caller pins a width so both modes use the same graph).
   r.route_w = route_w_override > 0 ? route_w_override : r.min_w + 2;
   route::RrGraph graph(p, spec, r.route_w);
+  const auto cold_retries = [] {
+    return obs::snapshot_metrics().counter("route.cold_retries");
+  };
+  const std::uint64_t retries_before = cold_retries();
   t0 = Clock::now();
   auto fixed = route::route_all(graph, p, ro);
   r.route_s = secs_since(t0);
   r.route_iters = fixed.iterations;
+  r.route_cold_retries = cold_retries() - retries_before;
   route::verify_routing(graph, fixed);  // throws if illegal
   return r;
 }
@@ -184,6 +197,7 @@ int main(int argc, char** argv) {
         j.set(p + "_minw_s", m.minw_s);
         j.set(p + "_route_w", m.route_w);
         j.set(p + "_route_s", m.route_s);
+        j.set(p + "_route_cold_retries", m.route_cold_retries);
         j.set(p + "_e2e_s", m.e2e_s());
       };
       if (run_inc) mode_fields("inc", c.inc);

@@ -83,8 +83,7 @@ int main() {
   job.source = flow::JobSpec::Source::kVhdl;
   job.text = kTrafficVhdl;
   job.top = "traffic";
-  // Random vectors plus the formal proof at every hand-off.
-  job.options.verify_mode = flow::VerifyMode::kBoth;
+  // The default compile proves every hand-off formally (verify=formal).
   flow::FlowSession session(job);
   session.run_until(job.until);
   const flow::FlowResult& result = session.result();

@@ -88,7 +88,10 @@ class Placement {
   /// Runs the annealer (called by `place`); also used by tests directly.
   struct AnnealOptions {
     std::uint64_t seed = 1;
-    double inner_num = 10.0;   ///< moves per block per temperature
+    /// Move budget: each temperature tries inner_num · n^(4/3) moves over
+    /// the n movable blocks. VPR 4.30 uses 10; 4 ends within 3% of its
+    /// bounding-box cost in 40% of the moves (DESIGN §7).
+    double inner_num = 4.0;
     /// Incremental cost: keep a cached cost per net and rebuild only the
     /// moved blocks' nets from a flat pin list. false = recompute every
     /// affected net's cost before and after each move from the Net

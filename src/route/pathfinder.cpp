@@ -919,6 +919,19 @@ RouteResult route_all(const RrGraph& graph, const place::Placement& placement,
   RouteResult result =
       route_with_history(graph, placement, options, nullptr, nullptr);
   if (cancelled(options)) throw CancelledError("routing cancelled");
+  // The partial rip-up can settle into congestion that the full rip-up
+  // clears. Only a run that spent its whole budget gets the cold rerun: an
+  // early stall abort is the fast "no" its caller asked for, and a net
+  // with no path in the graph fails the cold run's first iteration too.
+  if (!result.success && options.incremental &&
+      result.iterations == kColdSchedule.max_iterations) {
+    static obs::Counter& c_cold = obs::counter("route.cold_retries");
+    c_cold.add(1);
+    RouteOptions cold = options;
+    cold.incremental = false;
+    result = route_with_history(graph, placement, cold, nullptr, nullptr);
+    if (cancelled(options)) throw CancelledError("routing cancelled");
+  }
   return result;
 }
 

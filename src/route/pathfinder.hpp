@@ -60,7 +60,11 @@ struct RouteResult {
   std::string message;
 };
 
-/// Routes all placement nets on the given RR graph.
+/// Routes all placement nets on the given RR graph. An incremental run
+/// that ends its whole iteration budget congested is rerun cold on the
+/// same graph (counted on `route.cold_retries`), so the cold router has
+/// the last word on whether a width routes. A run that `stall_window`
+/// stopped early is not rerun.
 RouteResult route_all(const RrGraph& graph, const place::Placement& placement,
                       const RouteOptions& options = {});
 

@@ -305,7 +305,7 @@ TEST(Eco, RefutedEditKeepsLastProvenBitstream) {
     }
     const std::string proven =
         flow::fnv1a64_hex(session.result().bitstream_bytes);
-    EXPECT_EQ(proven, "bcd72874dba38d39");
+    EXPECT_EQ(proven, "6609bca8655de4cc");
     try {
       session.resume_with_edit(edited);
       ADD_FAILURE() << "edit 11 was not refuted";

@@ -7,10 +7,12 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "bench_gen/bench_gen.hpp"
+#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "pack/pack.hpp"
 #include "place/place.hpp"
@@ -177,6 +179,28 @@ TEST(Place, IncrementalMatchesOracleAnneal) {
   }
 }
 
+TEST(Place, DefaultBudgetKeepsCostInFewerMoves) {
+  // The default move budget (inner_num 4) against VPR 4.30's 10, from the
+  // same initial placement on designs of serve_fixedw's size: the final
+  // bounding-box cost stays within 3% in at most 45% of the moves.
+  for (const auto& [gates, latches, seed] :
+       {std::tuple{300, 8, 81u}, std::tuple{600, 12, 82u},
+        std::tuple{900, 15, 83u}}) {
+    SCOPED_TRACE(testing::Message() << gates << "/" << latches << "/"
+                                    << seed);
+    Design d_default(gates, latches, seed);
+    Design d_vpr(gates, latches, seed);
+    place::Placement::AnnealOptions vpr;
+    vpr.inner_num = 10.0;
+    const auto s_default =
+        d_default.placement.anneal(place::Placement::AnnealOptions{});
+    const auto s_vpr = d_vpr.placement.anneal(vpr);
+    ASSERT_EQ(s_default.initial_cost, s_vpr.initial_cost);
+    EXPECT_LE(s_default.final_cost, 1.03 * s_vpr.final_cost);
+    EXPECT_LE(s_default.moves, s_vpr.moves * 45 / 100);
+  }
+}
+
 TEST(Place, BlockByNameFindsEveryBlock) {
   Design d(120, 8, 67);
   for (std::size_t b = 0; b < d.placement.blocks().size(); ++b) {
@@ -313,7 +337,13 @@ TEST(Route, IncrementalRerouteIsLegalAtFixedWidth) {
     route::RrGraph graph(d.placement, d.spec, d.spec.channel_width);
     route::RouteOptions inc;
     inc.incremental = true;
+    // No cold retry, so the verdict and routing checked below are the
+    // incremental kernel's own.
+    const std::uint64_t retries =
+        obs::snapshot_metrics().counter("route.cold_retries");
     auto r_inc = route::route_all(graph, d.placement, inc);
+    EXPECT_EQ(obs::snapshot_metrics().counter("route.cold_retries"), retries)
+        << "seed " << seed;
     route::RouteOptions orc;
     orc.incremental = false;
     auto r_orc = route::route_all(graph, d.placement, orc);
@@ -323,6 +353,34 @@ TEST(Route, IncrementalRerouteIsLegalAtFixedWidth) {
       route::verify_routing(graph, r_orc);
     }
   }
+}
+
+TEST(Route, ColdRetryRoutesWhereIncrementalStalls) {
+  // cad_pnr_bench's syn_apex4 at min W + 2: the partial rip-up router
+  // ends its iteration budget still congested (the one retry counted), the
+  // cold router routes the same graph, and route_all returns the cold
+  // routing.
+  bench_gen::BenchSpec bspec;
+  for (const auto& b : bench_gen::mcnc_like_suite()) {
+    if (b.name == "syn_apex4") bspec = b;
+  }
+  ASSERT_EQ(bspec.name, "syn_apex4");
+  const Network net = synth::map_to_luts(bench_gen::generate(bspec),
+                                         synth::LutMapOptions{4, 8});
+  const ArchSpec spec;
+  const pack::PackedNetlist packed(net, spec);
+  place::Placement p(packed, spec);
+  p.anneal(place::Placement::AnnealOptions{});
+  const route::RrGraph graph(p, spec, 24);
+
+  const auto retries = [] {
+    return obs::snapshot_metrics().counter("route.cold_retries");
+  };
+  const std::uint64_t before = retries();
+  const route::RouteResult r = route::route_all(graph, p);
+  ASSERT_TRUE(r.success) << r.message;
+  route::verify_routing(graph, r);
+  EXPECT_EQ(retries(), before + 1);
 }
 
 /// One consumed min-W verdict, as the route.minw_probe point reports it.
@@ -412,9 +470,11 @@ TEST(Route, MinWidthSearchIndependentOfThreads) {
   // one-probe-at-a-time search. The designs cover the walk shapes of the
   // oracle phase (names: gates/latches/seed):
   //   160/8/77  the start width routes and the one below fails;
-  //   120/0/80  the start fails and the walk goes up two widths;
-  //   120/0/73  the walk goes down two widths before failing (as
-  //             syn_apex4 does: 22 routes, 21 routes, 20 fails).
+  //   120/0/75  the start fails and the walk goes up two widths (as
+  //             syn_apex4 does in flow_qor: 21 fails, 22 fails, 23
+  //             routes);
+  //   120/0/81  the walk goes down two widths before failing (as
+  //             syn_misex does: 19 routes, 18 routes, 17 fails).
   enum class Walk { kOneDown, kUp, kTwoDown };
   struct Case {
     int gates, latches;
@@ -422,8 +482,8 @@ TEST(Route, MinWidthSearchIndependentOfThreads) {
     Walk walk;
   };
   for (const Case& c : {Case{160, 8, 77, Walk::kOneDown},
-                        Case{120, 0, 80, Walk::kUp},
-                        Case{120, 0, 73, Walk::kTwoDown}}) {
+                        Case{120, 0, 75, Walk::kUp},
+                        Case{120, 0, 81, Walk::kTwoDown}}) {
     SCOPED_TRACE(testing::Message() << c.gates << "/" << c.latches << "/"
                                     << c.seed);
     Design d(c.gates, c.latches, c.seed);
