@@ -43,9 +43,16 @@ void write_artifact(const std::string& dir, const std::string& name,
   out << content;
 }
 
-/// Invariant barrier: error-severity findings stop the flow right at the
-/// broken hand-off, with the whole report (not just the first failure).
-void barrier(const lint::Report& report, const std::string& stage) {
+/// Invariant barrier: runs `rules` into `report` under a lint.barrier
+/// span, then error-severity findings stop the flow right at the broken
+/// hand-off, with the whole report (not just the first failure).
+template <typename Rules>
+void barrier(lint::Report& report, const std::string& stage, Rules&& rules) {
+  obs::Span span("lint.barrier");
+  const std::size_t before = report.diagnostics().size();
+  rules();
+  span.metric("findings",
+              static_cast<double>(report.diagnostics().size() - before));
   if (report.has_errors()) {
     throw InfeasibleError("invariant check failed after " + stage + ":\n" +
                           report.to_text());
@@ -374,8 +381,8 @@ void FlowSession::run_map() {
   verify_handoff("LUT mapping (SIS)", network, *result_.mapped);
   if (options_.check_invariants) {
     result_.lint.set_stage("mapping");
-    lint::lint_network(*result_.mapped, &result_.lint);
-    barrier(result_.lint, "LUT mapping");
+    barrier(result_.lint, "LUT mapping",
+            [&] { lint::lint_network(*result_.mapped, &result_.lint); });
   }
   write_artifact(options_.artifact_dir, network.name() + ".blif",
                  netlist::write_blif_string(*result_.mapped));
@@ -451,8 +458,8 @@ void FlowSession::run_route() {
   result_.bitstream = std::move(bitstream);
   if (options_.check_invariants) {
     result_.lint.set_stage("rr-graph");
-    lint::lint_rr_graph(*result_.rr_graph, &result_.lint);
-    barrier(result_.lint, "routing");
+    barrier(result_.lint, "routing",
+            [&] { lint::lint_rr_graph(*result_.rr_graph, &result_.lint); });
   }
   write_artifact(options_.artifact_dir, result_.synthesized.name() + ".place",
                  route::write_place_string(*result_.placement));
@@ -502,10 +509,12 @@ SessionState FlowSession::resume_with_edit(const netlist::Network& edited,
     // artifact; failures leave the base artifacts in place.
     if (options_.check_invariants) {
       result_.lint.set_stage("eco");
-      lint::lint_network(*er.mapped, &result_.lint);
-      lint::lint_rr_graph(*er.rr_graph, &result_.lint);
-      lint::check_post_bitgen(er.bitstream_bytes, *er.mapped, &result_.lint);
-      barrier(result_.lint, "ECO recompile");
+      barrier(result_.lint, "ECO recompile", [&] {
+        lint::lint_network(*er.mapped, &result_.lint);
+        lint::lint_rr_graph(*er.rr_graph, &result_.lint);
+        lint::check_post_bitgen(er.bitstream_bytes, *er.mapped,
+                                &result_.lint);
+      });
     }
     // The safety net, before committing anything, in the flow's ledger
     // order: the recompiled mapping implements the edited netlist (SAT:
@@ -570,9 +579,10 @@ void FlowSession::run_bitgen() {
   }
   if (options_.check_invariants) {
     result_.lint.set_stage("bitgen");
-    lint::check_post_bitgen(result_.bitstream_bytes, *result_.mapped,
-                            &result_.lint);
-    barrier(result_.lint, "bitstream generation");
+    barrier(result_.lint, "bitstream generation", [&] {
+      lint::check_post_bitgen(result_.bitstream_bytes, *result_.mapped,
+                              &result_.lint);
+    });
   }
   if (options_.verify_mode != VerifyMode::kOff) {
     check_round_trip("bitstream (DAGGER)", result_.bitstream_bytes,

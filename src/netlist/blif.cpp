@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/obs.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -66,6 +67,7 @@ TruthTable cover_to_table(const Cover& cover, const std::string& file) {
 }  // namespace
 
 Network read_blif(std::istream& in, const std::string& filename) {
+  obs::Span span("netlist.read_blif");
   Network net;
   bool saw_model = false, saw_end = false;
   std::vector<std::string> input_names, output_names;
@@ -216,6 +218,7 @@ Network read_blif(std::istream& in, const std::string& filename) {
     }
     net.add_output(s);
   }
+  span.metric("gates", static_cast<double>(net.gates().size()));
   return net;
 }
 

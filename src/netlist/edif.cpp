@@ -7,6 +7,7 @@
 #include <set>
 #include <sstream>
 
+#include "obs/obs.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -421,6 +422,7 @@ TruthTable parse_truth(const SExpr& str, int n_ports,
 }  // namespace
 
 Network read_edif(std::istream& in, const std::string& filename) {
+  obs::Span span("netlist.read_edif");
   SExprParser parser(in, filename);
   SExpr root = parser.parse();
   if (root.is_atom || !iequals(root.head(), "edif")) {
@@ -572,6 +574,7 @@ Network read_edif(std::istream& in, const std::string& filename) {
       net.add_gate(iname, t, std::move(ins), o);
     }
   }
+  span.metric("gates", static_cast<double>(net.gates().size()));
   return net;
 }
 

@@ -144,6 +144,7 @@ class PathFinder {
         schedule_(schedule),
         stop_(stop),
         n_nodes_(graph.num_nodes()),
+        n_wires_(static_cast<std::size_t>(graph.wire_count())),
         n_nets_(static_cast<int>(placement.nets().size())) {
     const std::size_t nn = static_cast<std::size_t>(n_nodes_);
     occupancy_.assign(nn, 0);
@@ -164,7 +165,7 @@ class PathFinder {
     // sink; packed parallel arrays keep that loop in cache. The CSR edge
     // list is materialized lazily per fixed-size id region on first
     // touch, so fabric the wavefronts never reach costs ~0 bytes.
-    graph.fill_soa(&type_, &x_, &y_, &cap_, &base_hist_);
+    graph.fill_soa(&type_, &x_, &y_, &cap_, &base_hist_, &ipin_sink_);
     regions_.assign((nn + kRegionSize - 1) >> kRegionShift, Region{});
 
     min_step_cost_ = 1.0;
@@ -512,19 +513,10 @@ class PathFinder {
           // Never route through another block's IPIN chain: an IPIN only
           // leads to its sink, so expanding it is harmless but wasteful;
           // skip IPINs whose sink is not wanted.
-          if (type_[vi] == kIpinT) {
-            const Region& rv = region(next >> kRegionShift);
-            const int lv = next & (kRegionSize - 1);
-            bool wanted = false;
-            for (int oe = rv.off[static_cast<std::size_t>(lv)];
-                 oe < rv.off[static_cast<std::size_t>(lv + 1)]; ++oe) {
-              if (sink_mark_[static_cast<std::size_t>(
-                      rv.dst[static_cast<std::size_t>(oe)])] == net_token_) {
-                wanted = true;
-                break;
-              }
-            }
-            if (!wanted) continue;
+          if (type_[vi] == kIpinT &&
+              sink_mark_[static_cast<std::size_t>(ipin_sink_[vi - n_wires_])] !=
+                  net_token_) {
+            continue;
           }
           if (schedule_.spare_only && occupancy_[vi] >= cap_[vi]) {
             continue;  // full node is an obstacle, not a price
@@ -575,6 +567,7 @@ class PathFinder {
   const Schedule schedule_;
   const std::atomic<bool>* stop_;  ///< min-W wave abandonment (may be null)
   int n_nodes_ = 0;
+  std::size_t n_wires_ = 0;  ///< wire node ids are [0, n_wires_)
   int n_nets_ = 0;
   const std::vector<NetRoute>* seeds_ = nullptr;  ///< ECO warm-start trees
   std::vector<char> net_touched_;  ///< seeded runs: net was ever rerouted
@@ -616,6 +609,7 @@ class PathFinder {
   std::vector<short> x_, y_;
   std::vector<short> cap_;
   std::vector<double> base_hist_;  ///< base_cost + history, kept in sync
+  std::vector<int> ipin_sink_;     ///< by id - n_wires_: an IPIN's SINK
   std::vector<Region> regions_;    ///< lazy CSR edge blocks
 
   // Persistent per-node routing state.
@@ -673,8 +667,10 @@ bool cancelled(const RouteOptions& options) {
 /// span.
 struct SearchStats {
   long long probes = 0;          ///< verdicts consumed
-  long long spec_probes = 0;     ///< probes launched in waves
+  long long spec_probes = 0;     ///< probes launched in waves or the table
   long long spec_abandoned = 0;  ///< launched probes whose verdict went unread
+  long long spec_cold = 0;       ///< cold probes started in narrowing waves
+  long long spec_cold_read = 0;  ///< ... whose verdict the walk read
 };
 
 /// Records one consumed probe verdict for the trace. Called on the search
@@ -700,38 +696,13 @@ void throw_if_cancelled(const RouteOptions& options) {
   }
 }
 
-/// One probe of a speculative wave.
-struct WaveProbe {
-  int width = 0;
-  bool oracle = false;  ///< cold full-budget probe; else an explorer probe
-  /// The verdict is read only if probe `after` (an earlier index of the
-  /// wave; -1 = unconditionally) returned `after_success`.
-  int after = -1;
-  bool after_success = false;
-};
-
-/// Returns `wave` with `widths` appended as one branch of the sequential search: each
-/// probe is read only if the one before it returned `go_on`, the first one
-/// only if probe `after` returned `after_success`.
-std::vector<WaveProbe> branch(std::vector<WaveProbe> wave,
-                              const std::vector<int>& widths, bool oracle,
-                              bool go_on, int after = -1,
-                              bool after_success = false) {
-  for (int w : widths) {
-    wave.push_back(WaveProbe{w, oracle, after, after_success});
-    after = static_cast<int>(wave.size()) - 1;
-    after_success = go_on;
-  }
-  return wave;
-}
-
 struct ProbeOutcome {
   RouteResult result;
-  SpatialHistory spatial;  ///< explorer probes: the history they ended with
+  SpatialHistory spatial;  ///< the history the explorer probe ended with
   std::exception_ptr error;
 };
 
-/// Runs single min-W probes. Read-only, so every thread of a wave shares
+/// Runs single min-W probes. Read-only, so every thread of a search shares
 /// one.
 struct Prober {
   const place::Placement* placement;
@@ -769,38 +740,40 @@ struct Prober {
   }
 };
 
-/// A speculative probe wave: the next probes the sequential search would
-/// run along one branch, run at once on the process-wide executor and the
-/// calling thread, and read back by index in the sequential order. Each
-/// probe is a pure function of its width, kind and warm start, so a read
-/// verdict is exactly the sequential one. A probe whose verdict can no
-/// longer be read (its gate probe returned the other verdict) is abandoned
-/// through its stop flag. Constructing a wave is a cancellation point;
-/// destroying it abandons every unread probe and waits for the wave's own
-/// probes only, never for the executor's other work.
+/// A speculative explorer wave: the next probes the sequential search would
+/// run while every verdict is "no" (a stretch of the doubling sequence, or
+/// a narrowing failure chain), run at once on the process-wide executor and
+/// the calling thread, and read back by index in the sequential order.
+/// Each probe is a pure function of its width and warm start, so a read
+/// verdict is exactly the sequential one. The first success makes every
+/// later probe unreadable, and those are abandoned through their stop
+/// flags. Constructing a wave is a cancellation point; destroying it
+/// abandons every unread probe and waits for the wave's own probes only,
+/// never for the executor's other work.
 class ProbeWave {
  public:
-  ProbeWave(const Prober& prober, std::vector<WaveProbe> probes,
-            SpatialHistory warm, SearchStats* stats)
+  ProbeWave(const Prober& prober, std::vector<int> widths, SpatialHistory warm,
+            SearchStats* stats)
       : stats_(stats) {
     throw_if_cancelled(prober.explore);
-    const std::size_t n = probes.size();
+    const std::size_t n = widths.size();
     state_ = std::make_shared<State>(n);
     state_->prober = &prober;
-    state_->probes = std::move(probes);
+    state_->widths = std::move(widths);
     state_->warm = std::move(warm);
     state_->attribution = obs::attribution();
     stats_->spec_probes += static_cast<long long>(n);
     static obs::Counter& c_spec = obs::counter("route.minw_spec_probes");
     c_spec.add(n);
-    // The calling thread is the wave's first runner; the executor lends at
-    // most one thread per other probe. A helper that starts after the wave
+    // The executor lends at most one thread per probe, and the calling
+    // thread runs the probes it waits for if no helper has claimed them
+    // (a lone probe it runs itself). A helper that starts after the wave
     // is over finds nothing to claim and only drops its reference.
     if (n > 1) {
       ThreadPool& pool = ThreadPool::shared();
-      for (std::size_t k = 0; k < std::min(n - 1, pool.size()); ++k) {
+      for (std::size_t k = 0; k < std::min(n, pool.size()); ++k) {
         pool.submit([state = state_] {
-          while (state->run_next()) {
+          while (state->run_next(kAnyProbe)) {
           }
         });
       }
@@ -810,14 +783,14 @@ class ProbeWave {
   ~ProbeWave() {
     State& s = *state_;
     for (auto& stop : s.stop) stop.store(true);
-    while (s.run_next()) {
+    while (s.run_next(kAnyProbe)) {
     }
     {
       std::unique_lock<std::mutex> lock(s.mu);
-      s.cv.wait(lock, [&] { return s.finished == s.probes.size(); });
+      s.cv.wait(lock, [&] { return s.finished == s.widths.size(); });
     }
     s.out = {};  // late helpers may hold the state a while
-    const std::size_t abandoned = s.probes.size() - consumed_;
+    const std::size_t abandoned = s.widths.size() - consumed_;
     stats_->spec_abandoned += static_cast<long long>(abandoned);
     static obs::Counter& c_abandoned =
         obs::counter("route.minw_spec_abandoned");
@@ -827,16 +800,18 @@ class ProbeWave {
   ProbeWave(const ProbeWave&) = delete;
   ProbeWave& operator=(const ProbeWave&) = delete;
 
-  /// Blocks until probe `i` has finished, running unclaimed probes of the
-  /// wave meanwhile, and hands it to the sequential search. Throws
-  /// CancelledError when the search was cancelled, and rethrows the
-  /// probe's own error.
+  /// Blocks until probe `i` has finished and hands it to the sequential
+  /// search. Meanwhile the calling thread runs unclaimed probes at or
+  /// before `i` only: a later one may be doomed speculation, and the
+  /// verdict it waits for may be ready long before that probe ends.
+  /// Throws CancelledError when the search was cancelled, and rethrows
+  /// the probe's own error.
   ProbeOutcome& read(std::size_t i) {
     State& s = *state_;
     std::unique_lock<std::mutex> lock(s.mu);
     while (!s.done[i]) {
       lock.unlock();
-      const bool ran = s.run_next();
+      const bool ran = s.run_next(i);
       lock.lock();
       if (!ran) s.cv.wait(lock, [&] { return s.done[i] != 0; });
     }
@@ -848,13 +823,14 @@ class ProbeWave {
   }
 
  private:
+  static constexpr std::size_t kAnyProbe = static_cast<std::size_t>(-1);
+
   /// Shared with the executor tasks, which may outlive the wave object.
   struct State {
-    explicit State(std::size_t n)
-        : out(n), stop(n), done(n, 0), ok(n, 0), dead(n, 0) {}
+    explicit State(std::size_t n) : out(n), stop(n), done(n, 0) {}
 
     const Prober* prober = nullptr;  ///< dereferenced only by claimed probes
-    std::vector<WaveProbe> probes;
+    std::vector<int> widths;
     SpatialHistory warm;            ///< explorer warm start (empty = cold)
     obs::Attribution attribution;   ///< the searching thread's
     std::vector<ProbeOutcome> out;
@@ -862,39 +838,33 @@ class ProbeWave {
     std::atomic<std::size_t> next{0};  ///< next unclaimed probe
     std::mutex mu;
     std::condition_variable cv;
-    std::vector<char> done, ok, dead;  ///< guarded by mu
-    std::size_t finished = 0;          ///< guarded by mu: the wave's latch
+    std::vector<char> done;    ///< guarded by mu
+    std::size_t finished = 0;  ///< guarded by mu: the wave's latch
 
-    /// Claims and runs the next unclaimed probe, then abandons every probe
-    /// its verdict makes unreadable. False when none was left to claim.
-    bool run_next() {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= probes.size()) return false;
+    /// Claims and runs the next unclaimed probe if its index is at most
+    /// `limit`; a success abandons every later probe. False when no such
+    /// probe was left to claim.
+    bool run_next(std::size_t limit) {
+      std::size_t i = next.load();
+      do {
+        if (i >= widths.size() || i > limit) return false;
+      } while (!next.compare_exchange_weak(i, i + 1));
       if (stop[i].load()) {
         out[i].result.message = "abandoned";
       } else {
         obs::ScopedAttribution as_searcher(attribution);
-        const WaveProbe& p = probes[i];
         try {
-          out[i].result = p.oracle ? prober->oracle_probe(p.width, &stop[i])
-                                   : prober->explore_probe(
-                                         p.width, warm, &out[i].spatial,
-                                         &stop[i]);
+          out[i].result =
+              prober->explore_probe(widths[i], warm, &out[i].spatial, &stop[i]);
         } catch (...) {
           out[i].error = std::current_exception();
         }
       }
       std::lock_guard<std::mutex> lock(mu);
       done[i] = 1;
-      ok[i] = out[i].result.success ? 1 : 0;
       ++finished;
-      for (std::size_t j = 0; j < probes.size(); ++j) {
-        if (probes[j].after < 0) continue;
-        const std::size_t g = static_cast<std::size_t>(probes[j].after);
-        if (dead[g] || (done[g] && (ok[g] != 0) != probes[j].after_success)) {
-          dead[j] = 1;
-          stop[j].store(true);
-        }
+      if (out[i].result.success) {
+        for (std::size_t j = i + 1; j < widths.size(); ++j) stop[j].store(true);
       }
       cv.notify_all();
       return true;
@@ -904,6 +874,161 @@ class ProbeWave {
   std::shared_ptr<State> state_;
   SearchStats* stats_;
   std::size_t consumed_ = 0;
+};
+
+/// The cold oracle verdicts of one search, keyed by width. Each entry is
+/// one Prober::oracle_probe, run at most once: by an executor thread when
+/// the search started it ahead of the walk, or by the searching thread when
+/// it reads an entry no thread has claimed. A cold probe is a pure function
+/// of its width, so a stored verdict is exactly the one the walk would
+/// compute when it reads it. Each entry has its own stop flag, raised once
+/// the walk can no longer read the entry. Destroying the table stops every
+/// unread entry and waits for the claimed ones, so no probe outlives the
+/// search.
+class ColdTable {
+ public:
+  ColdTable(const Prober& prober, int w_min, int w_max, SearchStats* stats)
+      : state_(std::make_shared<State>()), w_min_(w_min), stats_(stats) {
+    state_->prober = &prober;
+    state_->attribution = obs::attribution();
+    state_->slots.resize(
+        static_cast<std::size_t>(std::max(0, w_max - w_min + 1)));
+  }
+
+  ~ColdTable() {
+    for (Entry* e : entries_) {
+      if (!e->read) e->stop.store(true);
+    }
+    // Unclaimed entries are unread and stopped: claiming one only marks it
+    // done.
+    for (Entry* e : entries_) {
+      if (!e->claimed.exchange(true)) state_->run(e);
+    }
+    std::size_t abandoned = 0;
+    std::unique_lock<std::mutex> lock(state_->mu);
+    for (Entry* e : entries_) {
+      state_->cv.wait(lock, [&] { return e->done; });
+      e->result = RouteResult{};  // late executor tasks may hold the state
+      abandoned += e->read ? 0 : 1;
+    }
+    stats_->spec_abandoned += static_cast<long long>(abandoned);
+    static obs::Counter& c_abandoned =
+        obs::counter("route.minw_spec_abandoned");
+    c_abandoned.add(abandoned);
+  }
+
+  ColdTable(const ColdTable&) = delete;
+  ColdTable& operator=(const ColdTable&) = delete;
+
+  /// Starts the cold probe at `w` on the executor, unless `w` is in the
+  /// table already or outside [w_min, w_max] (then false). `early`: started
+  /// in a narrowing wave's free slot, before the walk knows where it
+  /// starts.
+  bool start(int w, bool early) {
+    if (!vacant(w)) return false;
+    Entry* e = add(w, early);
+    ThreadPool::shared().submit([state = state_, e] {
+      if (!e->claimed.exchange(true)) state->run(e);
+    });
+    return true;
+  }
+
+  /// Stops every unread entry outside [lo, hi]: widths the walk can no
+  /// longer read.
+  void keep_only(int lo, int hi) {
+    for (Entry* e : entries_) {
+      if (!e->read && (e->width < lo || e->width > hi)) e->stop.store(true);
+    }
+  }
+
+  /// The walk's read of width `w` (in [w_min, w_max]): blocks until its
+  /// verdict is ready, running the probe on the calling thread if no
+  /// thread has claimed it. Throws CancelledError when the search was
+  /// cancelled, and rethrows the probe's own error.
+  RouteResult& read(int w) {
+    if (vacant(w)) add(w, /*early=*/false);
+    Entry* e = state_->slots[static_cast<std::size_t>(w - w_min_)].get();
+    if (!e->claimed.exchange(true)) state_->run(e);
+    {
+      std::unique_lock<std::mutex> lock(state_->mu);
+      state_->cv.wait(lock, [&] { return e->done; });
+    }
+    throw_if_cancelled(state_->prober->oracle);
+    if (e->error) std::rethrow_exception(e->error);
+    e->read = true;
+    if (e->early) {
+      ++stats_->spec_cold_read;
+      static obs::Counter& c_read = obs::counter("route.minw_spec_cold_read");
+      c_read.add(1);
+    }
+    return e->result;
+  }
+
+ private:
+  struct Entry {
+    int width = 0;
+    bool early = false;
+    bool read = false;  ///< searching thread only
+    std::atomic<bool> claimed{false};
+    std::atomic<bool> stop{false};
+    RouteResult result;
+    std::exception_ptr error;
+    bool done = false;  ///< guarded by State::mu
+  };
+
+  /// Shared with the executor tasks, which may outlive the table object.
+  struct State {
+    const Prober* prober = nullptr;  ///< dereferenced only by claimed entries
+    obs::Attribution attribution;    ///< the searching thread's
+    /// Entries by width - w_min; filled by the searching thread only.
+    std::vector<std::unique_ptr<Entry>> slots;
+    std::mutex mu;
+    std::condition_variable cv;
+
+    /// Runs a claimed entry, unless it was stopped before it began.
+    void run(Entry* e) {
+      if (e->stop.load()) {
+        e->result.message = "abandoned";
+      } else {
+        obs::ScopedAttribution as_searcher(attribution);
+        try {
+          e->result = prober->oracle_probe(e->width, &e->stop);
+        } catch (...) {
+          e->error = std::current_exception();
+        }
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      e->done = true;
+      cv.notify_all();
+    }
+  };
+
+  bool vacant(int w) const {
+    const auto i = static_cast<std::size_t>(w - w_min_);
+    return w >= w_min_ && i < state_->slots.size() && !state_->slots[i];
+  }
+
+  Entry* add(int w, bool early) {
+    auto& slot = state_->slots[static_cast<std::size_t>(w - w_min_)];
+    slot = std::make_unique<Entry>();
+    slot->width = w;
+    slot->early = early;
+    entries_.push_back(slot.get());
+    ++stats_->spec_probes;
+    static obs::Counter& c_spec = obs::counter("route.minw_spec_probes");
+    c_spec.add(1);
+    if (early) {
+      ++stats_->spec_cold;
+      static obs::Counter& c_cold = obs::counter("route.minw_spec_cold");
+      c_cold.add(1);
+    }
+    return slot.get();
+  }
+
+  std::shared_ptr<State> state_;
+  int w_min_;
+  SearchStats* stats_;
+  std::vector<Entry*> entries_;  ///< in creation order
 };
 
 int minimum_channel_width_impl(const place::Placement& placement,
@@ -1001,6 +1126,8 @@ int minimum_channel_width(const place::Placement& placement,
     span.metric("probes", static_cast<double>(stats.probes));
     span.metric("spec_probes", static_cast<double>(stats.spec_probes));
     span.metric("spec_abandoned", static_cast<double>(stats.spec_abandoned));
+    span.metric("spec_cold", static_cast<double>(stats.spec_cold));
+    span.metric("spec_cold_read", static_cast<double>(stats.spec_cold_read));
     span.metric("wire_nodes", out->total_wire_nodes);
   }
   return width;
@@ -1066,11 +1193,13 @@ int minimum_channel_width_impl(const place::Placement& placement,
   // boundary is re-established by cold oracle probes in the walk phase,
   // so any exploratory misjudgment costs time, never the result.
   //
-  // Every phase runs as speculative waves (ProbeWave): up to `wave_width`
-  // of the probes the one-at-a-time search would run next along one
-  // branch, run at once and consumed by index in its order. The consumed
-  // verdicts, and so the width and the routing, are the one-at-a-time
-  // search's for every wave width.
+  // The explorer phases run as speculative waves (ProbeWave): up to
+  // `wave_width` of the probes the one-at-a-time search would run next
+  // while every verdict is "no", run at once and consumed by index in its
+  // order. The walk reads its cold verdicts from a table keyed by width
+  // (ColdTable), filled ahead of the walk. The consumed verdicts, and so
+  // the width and the routing, are the one-at-a-time search's for every
+  // wave width.
   const std::size_t wave_width = static_cast<std::size_t>(
       options.probe_threads > 0
           ? options.probe_threads
@@ -1130,8 +1259,7 @@ int minimum_channel_width_impl(const place::Placement& placement,
          ++i) {
       ws.push_back(widths[i]);
     }
-    ProbeWave wave(prober, branch({}, ws, /*oracle=*/false, /*go_on=*/false),
-                   {}, stats);
+    ProbeWave wave(prober, ws, {}, stats);
     for (std::size_t i = 0; best_w < 0 && i < ws.size(); ++i, ++i0) {
       ProbeOutcome& p = wave.read(i);
       note_probe(ws[i], p.result, /*oracle=*/false, stats);
@@ -1162,14 +1290,27 @@ int minimum_channel_width_impl(const place::Placement& placement,
   // [lo, hi]: the midpoints the search visits while every verdict is
   // "no", all warm-started from hi's history as they would be one at a
   // time. The first success ends the wave and seeds the next one.
+  //
+  // A wave shorter than `wave_width` leaves executor slots free (the last
+  // waves hold one to three probes). They start the walk's cold probes
+  // early, at the widths around the bracket (lo, hi] the walk is likeliest
+  // to read. The explorer's final width lies in the bracket and the walk
+  // starts at it or one below, so hi - 1 is the likeliest start (the last
+  // explorer success is usually hi, and the width below it failed); lo and
+  // the widths below it serve a down walk, hi and above an up walk.
+  ColdTable cold(prober, w_min, w_max, stats);
   int hi = best_w;
   while (hi - lo >= 2) {
     std::vector<int> ws;
     for (int l = lo; hi - l >= 2 && ws.size() < wave_width; l = ws.back()) {
       ws.push_back(l + (hi - l) / 2);
     }
-    ProbeWave wave(prober, branch({}, ws, /*oracle=*/false, /*go_on=*/false),
-                   warm, stats);
+    ProbeWave wave(prober, ws, warm, stats);
+    std::size_t busy = ws.size();
+    for (int w : {hi - 1, lo, hi, lo - 1, lo + 1, hi - 2, hi + 1, lo - 2}) {
+      if (busy >= wave_width) break;
+      if (cold.start(w, /*early=*/true)) ++busy;
+    }
     for (std::size_t i = 0; i < ws.size(); ++i) {
       ProbeOutcome& p = wave.read(i);
       note_probe(ws[i], p.result, /*oracle=*/false, stats);
@@ -1203,68 +1344,39 @@ int minimum_channel_width_impl(const place::Placement& placement,
       explorer_failed[static_cast<std::size_t>(start_w - 1)]) {
     --start_w;
   }
-  // Wave 0 holds the start width, the widths below it and, with three or
-  // more slots, the width above it: the start's verdict abandons the other
-  // direction. Later waves continue the chosen direction; a down chain
-  // ends at its first failure, an up chain at its first success.
-  std::vector<int> below, above;
-  const std::size_t below_slots =
-      wave_width >= 3 ? wave_width - 2 : wave_width - 1;
-  for (int w = start_w - 1; w >= w_min && below.size() < below_slots; --w) {
-    below.push_back(w);
+  // Every cold verdict is read from the table, in the one-at-a-time order.
+  // Before the start's verdict the table also runs the widths below it
+  // and, with three or more slots, the width above it; the verdict stops
+  // the other direction. Then the next `wave_width` widths of the chosen
+  // direction keep running: a down walk ends at its first failure, an up
+  // walk at its first success.
+  const int n_below =
+      static_cast<int>(wave_width >= 3 ? wave_width - 2 : wave_width - 1);
+  for (int k = 1; k <= n_below; ++k) cold.start(start_w - k, /*early=*/false);
+  if (wave_width >= 3) cold.start(start_w + 1, /*early=*/false);
+  RouteResult& first = cold.read(start_w);
+  note_probe(start_w, first, /*oracle=*/true, stats);
+  const bool down = first.success;
+  if (down) {
+    best = std::move(first);
+    best_w = start_w;
   }
-  if (wave_width >= 3 && start_w + 1 <= w_max) above.push_back(start_w + 1);
-  std::vector<WaveProbe> probes =
-      branch({WaveProbe{start_w, /*oracle=*/true}}, below, /*oracle=*/true,
-             /*go_on=*/true, /*after=*/0, /*after_success=*/true);
-  probes = branch(std::move(probes), above, /*oracle=*/true, /*go_on=*/false,
-                  /*after=*/0, /*after_success=*/false);
-
-  bool down = false;
-  // Consumes one stretch of the walk; true once the walk has ended.
-  auto walk = [&](ProbeWave& wave, std::size_t first,
-                  const std::vector<int>& ws) {
-    for (std::size_t i = 0; i < ws.size(); ++i) {
-      ProbeOutcome& p = wave.read(first + i);
-      note_probe(ws[i], p.result, /*oracle=*/true, stats);
-      const bool ok = p.result.success;
-      // Failures leave `best` alone: an up walk that never routes keeps
-      // the explorer's legal routing.
-      if (ok) {
-        best = std::move(p.result);
-        best_w = ws[i];
-      }
-      if (ok != down) return true;
+  cold.keep_only(down ? w_min : start_w + 1, down ? start_w - 1 : w_max);
+  const int step = down ? -1 : 1;
+  for (int w = start_w + step; down ? w >= w_min : w <= w_max; w += step) {
+    for (int k = 1; k < static_cast<int>(wave_width); ++k) {
+      cold.start(w + k * step, /*early=*/false);
     }
-    return false;
-  };
-  bool ended = false;
-  int next_w = 0;
-  {
-    ProbeWave wave(prober, std::move(probes), {}, stats);
-    ProbeOutcome& p = wave.read(0);
-    note_probe(start_w, p.result, /*oracle=*/true, stats);
-    down = p.result.success;
-    if (down) {
-      best = std::move(p.result);
-      best_w = start_w;
+    RouteResult& r = cold.read(w);
+    note_probe(w, r, /*oracle=*/true, stats);
+    const bool ok = r.success;
+    // Failures leave `best` alone: an up walk that never routes keeps the
+    // explorer's legal routing.
+    if (ok) {
+      best = std::move(r);
+      best_w = w;
     }
-    const std::vector<int>& ws = down ? below : above;
-    ended = walk(wave, down ? 1 : 1 + below.size(), ws);
-    next_w = (ws.empty() ? start_w : ws.back()) + (down ? -1 : 1);
-  }
-  while (!ended) {
-    std::vector<int> ws;
-    for (int w = next_w; (down ? w >= w_min : w <= w_max) &&
-                         ws.size() < wave_width;
-         w += down ? -1 : 1) {
-      ws.push_back(w);
-    }
-    if (ws.empty()) break;
-    ProbeWave wave(prober, branch({}, ws, /*oracle=*/true, /*go_on=*/down),
-                   {}, stats);
-    ended = walk(wave, 0, ws);
-    next_w = ws.back() + (down ? -1 : 1);
+    if (ok != down) break;
   }
   throw_if_cancelled(options);
 

@@ -32,9 +32,10 @@ struct RouteOptions {
   /// Width of the speculative probe waves of `minimum_channel_width`:
   /// how many of the probes the one-at-a-time search would run next are
   /// run at once, on the process-wide executor (`ThreadPool::shared()`)
-  /// and the calling thread. 0 = the executor's size; 1 = one probe at a
-  /// time. Verdicts are consumed by index in the one-at-a-time order, so
-  /// the search result never depends on it.
+  /// and the calling thread. Slots a narrowing wave leaves free start the
+  /// final walk's cold probes early. 0 = the executor's size; 1 = one
+  /// probe at a time, nothing started early. Verdicts are consumed in the
+  /// one-at-a-time order, so the search result never depends on it.
   int probe_threads = 0;
   /// Cooperative cancellation flag (not owned; may be set from another
   /// thread). Checked once per PathFinder iteration, by every probe of a

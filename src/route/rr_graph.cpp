@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -188,6 +189,9 @@ RrGraph::RrGraph(const Placement& placement, const arch::ArchSpec& spec,
       nx_(placement.nx()),
       ny_(placement.ny()),
       dedup_(options.dedup) {
+  // Every min-W probe builds its own graph, so this span separates a
+  // probe's build from its routing.
+  obs::Span span("route.rr_build");
   AMDREL_CHECK(width_ >= 1);
   build_common_tables();
   if (dedup_) {
@@ -203,6 +207,8 @@ RrGraph::RrGraph(const Placement& placement, const arch::ArchSpec& spec,
   c_nodes.add(static_cast<std::uint64_t>(n_nodes_));
   c_patterns.add(static_cast<std::uint64_t>(unique_patterns_));
   c_bytes.add(static_cast<std::uint64_t>(bytes_est_));
+  span.metric("width", width_);
+  span.metric("nodes", n_nodes_);
 }
 
 std::vector<int> RrGraph::pin_tracks(int pin, int n_tracks) const {
@@ -677,13 +683,16 @@ int RrGraph::node_capacity(int id) const {
 
 void RrGraph::fill_soa(std::vector<signed char>* type, std::vector<short>* x,
                        std::vector<short>* y, std::vector<short>* cap,
-                       std::vector<double>* base_cost) const {
+                       std::vector<double>* base_cost,
+                       std::vector<int>* ipin_sink) const {
   const std::size_t nn = static_cast<std::size_t>(n_nodes_);
+  const std::size_t wires = static_cast<std::size_t>(wire_count_);
   if (type != nullptr) type->resize(nn);
   if (x != nullptr) x->resize(nn);
   if (y != nullptr) y->resize(nn);
   if (cap != nullptr) cap->resize(nn);
   if (base_cost != nullptr) base_cost->resize(nn);
+  if (ipin_sink != nullptr) ipin_sink->assign(nn - wires, -1);
   if (!dedup_) {
     for (std::size_t i = 0; i < nn; ++i) {
       const RrNode& n = nodes_[i];
@@ -692,6 +701,9 @@ void RrGraph::fill_soa(std::vector<signed char>* type, std::vector<short>* x,
       if (y != nullptr) (*y)[i] = static_cast<short>(n.y);
       if (cap != nullptr) (*cap)[i] = static_cast<short>(n.capacity);
       if (base_cost != nullptr) (*base_cost)[i] = n.base_cost;
+      if (ipin_sink != nullptr && n.type == RrType::kIpin) {
+        (*ipin_sink)[i - wires] = n.out_edges.front();
+      }
     }
     return;
   }
@@ -731,13 +743,19 @@ void RrGraph::fill_soa(std::vector<signed char>* type, std::vector<short>* x,
     if (cap != nullptr) (*cap)[j] = static_cast<short>(capacity);
     if (base_cost != nullptr) (*base_cost)[j] = bc;
   };
+  // A block's SINK is its first node, and its IPINs lead only there.
+  auto put_ipin = [&](std::size_t j, const Loc& loc, int sink) {
+    put(j, RrType::kIpin, loc, 1, 0.95);
+    if (ipin_sink != nullptr) (*ipin_sink)[j - wires] = sink;
+  };
   for (std::size_t bi = 0; bi < blocks.size(); ++bi) {
     const Loc& loc = placement_->location(static_cast<int>(bi));
-    std::size_t j = static_cast<std::size_t>(block_base_[bi]);
+    const int sink = block_base_[bi];
+    std::size_t j = static_cast<std::size_t>(sink);
     switch (blocks[bi].kind) {
       case BlockKind::kClb:
         put(j++, RrType::kSink, loc, n_in, 0.0);
-        for (int p = 0; p < n_in; ++p) put(j++, RrType::kIpin, loc, 1, 0.95);
+        for (int p = 0; p < n_in; ++p) put_ipin(j++, loc, sink);
         for (int p = 0; p < spec_->n; ++p) {
           put(j++, RrType::kOpin, loc, 1, 1.0);
         }
@@ -747,7 +765,7 @@ void RrGraph::fill_soa(std::vector<signed char>* type, std::vector<short>* x,
         break;
       case BlockKind::kOutputPad:
         put(j, RrType::kSink, loc, 1, 0.0);
-        put(j + 1, RrType::kIpin, loc, 1, 0.95);
+        put_ipin(j + 1, loc, sink);
         break;
     }
   }

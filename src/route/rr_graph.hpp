@@ -120,9 +120,13 @@ class RrGraph {
   bool has_edge(int from, int to) const;
 
   /// Bulk-fills the router's flat SoA mirror (null pointers skipped).
+  /// `ipin_sink` covers the block nodes, [wire_count(), num_nodes()): an
+  /// IPIN's entry is the SINK its one out-edge reaches, every other
+  /// node's is -1.
   void fill_soa(std::vector<signed char>* type, std::vector<short>* x,
                 std::vector<short>* y, std::vector<short>* cap,
-                std::vector<double>* base_cost) const;
+                std::vector<double>* base_cost,
+                std::vector<int>* ipin_sink) const;
 
   /// Node id from structural coordinates; -1 when outside the fabric.
   /// chanx: x in 1..nx, y in 0..ny; chany: x in 0..nx, y in 1..ny.

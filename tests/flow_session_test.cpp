@@ -132,6 +132,71 @@ TEST(FlowSession, TraceJsonlHasOneSpanPerStage) {
   std::remove(path.c_str());
 }
 
+/// Maps each span name to the flow.<stage> spans it ran under, counted.
+class EnclosingStageSink : public obs::Sink {
+ public:
+  void on_event(const obs::Event& e) override {
+    if (e.kind != obs::Event::Kind::kSpanBegin) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    names_[e.id] = e.name;
+    parents_[e.id] = e.parent;
+    std::uint64_t up = e.parent;
+    while (up != 0 && names_[up].rfind("flow.", 0) != 0) up = parents_[up];
+    ++under_[e.name][up != 0 ? names_[up] : "(none)"];
+  }
+  std::map<std::string, int> under(const std::string& name) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return under_[name];
+  }
+
+ private:
+  std::mutex mu_;
+  std::map<std::uint64_t, std::string> names_;
+  std::map<std::uint64_t, std::uint64_t> parents_;
+  std::map<std::string, std::map<std::string, int>> under_;
+};
+
+TEST(FlowSession, RrBuildBarrierAndReaderSpansNestUnderTheirStage) {
+  // A VHDL design round-trips through EDIF in synth; the lint barriers run
+  // after map, route and bitgen; the route stage builds one RR graph at
+  // its fixed width.
+  flow::JobSpec spec;
+  spec.source = flow::JobSpec::Source::kFile;
+  spec.path = fixture("traffic_light.vhd");
+  spec.top = "traffic";
+  EnclosingStageSink sink;
+  {
+    obs::TraceContext ctx(&sink, "spans");
+    obs::ScopedContext guard(&ctx);
+    flow::FlowSession session(spec);
+    ASSERT_EQ(session.resume(), flow::SessionState::kDone);
+  }
+  using Under = std::map<std::string, int>;
+  EXPECT_EQ(sink.under("netlist.read_edif"), (Under{{"flow.synth", 1}}));
+  EXPECT_EQ(sink.under("route.rr_build"), (Under{{"flow.route", 1}}));
+  EXPECT_EQ(sink.under("lint.barrier"),
+            (Under{{"flow.map", 1}, {"flow.route", 1}, {"flow.bitgen", 1}}));
+
+  // A network entry proves the BLIF writer/reader pair in synth, and every
+  // min-W probe builds its own graph inside the route stage.
+  EnclosingStageSink minw;
+  {
+    obs::TraceContext ctx(&minw, "minw");
+    obs::ScopedContext guard(&ctx);
+    flow::FlowOptions opt;
+    opt.search_min_channel_width = true;
+    flow::FlowSession session(small_design(), opt);
+    ASSERT_EQ(session.resume(), flow::SessionState::kDone);
+  }
+  EXPECT_EQ(minw.under("netlist.read_blif"), (Under{{"flow.synth", 1}}));
+  const Under builds = minw.under("route.rr_build");
+  ASSERT_EQ(builds.size(), 1u);
+  EXPECT_EQ(builds.begin()->first, "flow.route");
+  EXPECT_EQ(builds.begin()->second,
+            minw.under("route.pathfinder")["flow.route"] + 1)
+      << "one graph per probe, plus the committed one";
+}
+
 /// Requests cancellation from inside the trace stream: the first min-W
 /// probe verdict triggers cancel(), which the search observes at its next
 /// cancellation point. Exercises a genuine mid-stage (not between-stage)

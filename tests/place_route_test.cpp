@@ -407,15 +407,24 @@ class MinwSink : public obs::Sink {
       verdicts.push_back(Verdict{static_cast<int>(metric(e, "width")),
                                  metric(e, "success") != 0.0,
                                  metric(e, "oracle") != 0.0});
-    } else if (e.kind == obs::Event::Kind::kSpanEnd &&
-               std::strcmp(e.name, "route.pathfinder") == 0) {
-      runs.emplace_back(static_cast<int>(metric(e, "width")),
-                        metric(e, "oracle") != 0.0);
+    } else if (std::strcmp(e.name, "route.pathfinder") == 0) {
+      if (searched) ++late_runs;
+      if (e.kind == obs::Event::Kind::kSpanBegin) {
+        ++open_runs;
+      } else if (e.kind == obs::Event::Kind::kSpanEnd) {
+        --open_runs;
+        runs.emplace_back(static_cast<int>(metric(e, "width")),
+                          metric(e, "oracle") != 0.0);
+      }
     } else if (e.kind == obs::Event::Kind::kSpanEnd &&
                std::strcmp(e.name, "route.minw_search") == 0) {
+      searched = true;
+      open_at_search_end = open_runs;
       probes = metric(e, "probes");
       spec_probes = metric(e, "spec_probes");
       spec_abandoned = metric(e, "spec_abandoned");
+      spec_cold = metric(e, "spec_cold");
+      spec_cold_read = metric(e, "spec_cold_read");
     }
   }
 
@@ -432,6 +441,10 @@ class MinwSink : public obs::Sink {
   /// (width, oracle) of every route.pathfinder span, launched or read.
   std::vector<std::pair<int, bool>> runs;
   double probes = -1, spec_probes = -1, spec_abandoned = -1;
+  double spec_cold = -1, spec_cold_read = -1;
+  /// route.pathfinder spans begun and not ended when the search span
+  /// ended, and route.pathfinder events after it.
+  int open_at_search_end = -1, late_runs = 0;
 
  private:
   static double metric(const obs::Event& e, const char* key) {
@@ -441,6 +454,8 @@ class MinwSink : public obs::Sink {
     return -1.0;
   }
   std::mutex mu_;
+  int open_runs = 0;
+  bool searched = false;
 };
 
 /// Runs the incremental min-W search with the given wave width, tracing
@@ -554,6 +569,46 @@ TEST(Route, ConcurrentMinWidthSearchesShareTheExecutor) {
   EXPECT_EQ(sb.verdicts, sb1.verdicts);
   expect_same_routes(ra, ra1);
   expect_same_routes(rb, rb1);
+}
+
+TEST(Route, ColdProbesStartInFreeSlotsAndEndWithTheSearch) {
+  // The walk reads its cold verdicts from a per-search table. Narrowing
+  // waves shorter than the wave width start cold probes in their free
+  // slots; 120/0/75 walks up from a failing start, as syn_apex4 does in
+  // flow_qor, and its walk reads verdicts started that way.
+  Design d(120, 0, 75);
+  d.placement.anneal(place::Placement::AnnealOptions{});
+  const auto counter = [](const char* name) {
+    return obs::snapshot_metrics().counter(name);
+  };
+
+  // One slot: nothing starts early and every launched probe is read.
+  const std::uint64_t cold0 = counter("route.minw_spec_cold");
+  route::RouteResult r1;
+  MinwSink s1;
+  const int w1 = traced_search(d, 1, &r1, &s1);
+  ASSERT_GT(w1, 0);
+  EXPECT_EQ(counter("route.minw_spec_cold"), cold0);
+  EXPECT_EQ(s1.spec_cold, 0);
+  EXPECT_EQ(s1.spec_cold_read, 0);
+  EXPECT_EQ(s1.spec_probes, s1.probes);
+
+  const std::uint64_t read0 = counter("route.minw_spec_cold_read");
+  route::RouteResult r4;
+  MinwSink s4;
+  EXPECT_EQ(traced_search(d, 4, &r4, &s4), w1);
+  EXPECT_EQ(s4.verdicts, s1.verdicts);
+  expect_same_routes(r4, r1);
+  EXPECT_GE(s4.spec_cold_read, 1);
+  EXPECT_LE(s4.spec_cold_read, s4.spec_cold);
+  EXPECT_EQ(counter("route.minw_spec_cold_read") - read0,
+            static_cast<std::uint64_t>(s4.spec_cold_read));
+  // Unread early probes count as abandoned.
+  EXPECT_EQ(s4.spec_probes, s4.probes + s4.spec_abandoned);
+  // No probe outlives the search: every route.pathfinder span, early or
+  // not, ended before the route.minw_search span did.
+  EXPECT_EQ(s4.open_at_search_end, 0);
+  EXPECT_EQ(s4.late_runs, 0);
 }
 
 TEST(Route, EveryConsumedProbeHasItsPathfinderSpan) {

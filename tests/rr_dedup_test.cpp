@@ -112,6 +112,36 @@ TEST(RrDedup, MatchesDenseOnNonSquareGrids) {
   expect_graphs_identical(tall.placement, tall.spec, 7);
 }
 
+TEST(RrDedup, IpinSinkTableFollowsTheOneOutEdge) {
+  // The router tests an IPIN by the SINK its one out-edge reaches; both
+  // builds fill that table in the SoA pass, and it must agree with the
+  // edge lists.
+  Design d(150, 8, 43);
+  for (bool dedup : {false, true}) {
+    SCOPED_TRACE(dedup ? "dedup" : "dense");
+    route::RrGraph graph(d.placement, d.spec, 6, route::RrOptions{dedup});
+    std::vector<int> ipin_sink;
+    graph.fill_soa(nullptr, nullptr, nullptr, nullptr, nullptr, &ipin_sink);
+    const int wires = graph.wire_count();
+    ASSERT_EQ(static_cast<int>(ipin_sink.size()), graph.num_nodes() - wires);
+    int ipins = 0;
+    std::vector<int> edges;
+    for (int id = wires; id < graph.num_nodes(); ++id) {
+      const int sink = ipin_sink[static_cast<std::size_t>(id - wires)];
+      if (graph.node_type(id) != route::RrType::kIpin) {
+        EXPECT_EQ(sink, -1) << "id " << id;
+        continue;
+      }
+      ++ipins;
+      edges.clear();
+      graph.append_out_edges(id, &edges);
+      EXPECT_EQ(edges, std::vector<int>{sink}) << "id " << id;
+      EXPECT_EQ(graph.node_type(sink), route::RrType::kSink) << "id " << id;
+    }
+    EXPECT_GT(ipins, 0);
+  }
+}
+
 TEST(RrDedup, RoutingResultIdentical) {
   Design d(150, 8, 43);
   place::Placement::AnnealOptions popt;
